@@ -17,7 +17,7 @@ from .annealing import (
     hessian_quadratic_form,
     posterior_covariance,
 )
-from .clustering import ClusteringSolution, kmeans, spectral_cluster
+from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
 from .dataset import (
     Dataset,
     gen_gaussian_mixture,
@@ -75,6 +75,7 @@ __all__ = [
     "persistence_profile",
     "posterior_covariance",
     "scatter_matrix",
+    "spectral_basis",
     "spectral_cluster",
     "__version__",
 ]

@@ -181,7 +181,6 @@ def anneal(
     data: Dataset,
     beta_schedule: Sequence[float],
     split_perturbation_scale: float = 1e-6,
-    seed: int = 0,
 ) -> AnnealTrace:
     """Sweep beta upward, tracking when the distinct centroid count grows.
 
@@ -189,8 +188,7 @@ def anneal(
     by +/- split_perturbation_scale x diameter along the group's posterior-
     covariance top eigenvector. Below the group's critical beta the pair
     collapses back together; above it the pair separates and a split event
-    (beta, group index) is recorded. Deterministic; the seed parameter is
-    accepted for interface stability but no random draws are needed.
+    (beta, group index) is recorded. Deterministic: no random draws are made.
     """
     betas = [float(b) for b in beta_schedule]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])) or not betas:

@@ -257,7 +257,7 @@ def _cmd_da_trace(parser, args) -> int:
     beta_min = args.beta_min if args.beta_min is not None else predicted / 4.0
     beta_max = args.beta_max if args.beta_max is not None else 20.0 * predicted
     schedule = _geometric_schedule(beta_min, beta_max, args.ratio)
-    trace = anneal(data, schedule, split_perturbation_scale=args.scale, seed=args.seed)
+    trace = anneal(data, schedule, split_perturbation_scale=args.scale)
     if args.output is not None:
         trace.to_csv(args.output)
     print(f"predicted critical beta = {predicted!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 
-__all__ = ["ClusteringSolution", "kmeans", "spectral_cluster"]
+__all__ = ["ClusteringSolution", "kmeans", "spectral_basis", "spectral_cluster"]
 
 _LLOYD_CAP = 300
 
@@ -131,19 +131,15 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     return ClusteringSolution(k=k, assignment=assign, centroids=centers, distortion=distortion)
 
 
-def spectral_cluster(K: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusteringSolution:
-    """Ng-Jordan-Weiss spectral clustering on a dense similarity matrix.
+def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
+    """First k_max eigenvectors of the symmetric normalized Laplacian of K.
 
-    Embeds points with the k eigenvectors of the symmetric normalized
-    Laplacian having smallest eigenvalue, row-normalizes, then runs kmeans.
-    The returned centroids and distortion refer to the embedding space.
+    Columns are ordered by ascending eigenvalue, so the Ng-Jordan-Weiss
+    embedding at any k <= k_max is the first k columns. A persistence sweep
+    computes this once and hands it to spectral_cluster at every k.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > n:
-        raise ValueError("k exceeds number of points")
     deg = K.sum(axis=1)
     if np.any(deg <= 0):
         raise ValueError("isolated point")
@@ -152,8 +148,36 @@ def spectral_cluster(K: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -
     L = (L + L.T) / 2.0
     # numpy's eigh serves as embedding infrastructure here; the persistence
     # eigenvalue paths use the solvers in linalg
-    w, V = np.linalg.eigh(L)
-    U = V[:, :k]
+    _, V = np.linalg.eigh(L)
+    return V[:, :k_max].copy()
+
+
+def spectral_cluster(
+    K: np.ndarray,
+    k: int,
+    restarts: int = 10,
+    seed: int = 0,
+    *,
+    basis: Optional[np.ndarray] = None,
+) -> ClusteringSolution:
+    """Ng-Jordan-Weiss spectral clustering on a dense similarity matrix.
+
+    Embeds points with the k eigenvectors of the symmetric normalized
+    Laplacian having smallest eigenvalue, row-normalizes, then runs kmeans.
+    The returned centroids and distortion refer to the embedding space.
+    basis, when given, is spectral_basis(K, k_max) for some k_max >= k and
+    spares the Laplacian eigendecomposition; without it one is computed.
+    """
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if k > n:
+        raise ValueError("k exceeds number of points")
+    basis = spectral_basis(K, k) if basis is None else np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[0] != n or basis.shape[1] < k:
+        raise ValueError(f"basis must have {n} rows and at least {k} columns")
+    U = basis[:, :k]
     norms = np.linalg.norm(U, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     U = U / norms

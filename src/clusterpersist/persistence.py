@@ -13,12 +13,13 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .clustering import ClusteringSolution, kmeans, spectral_cluster
+from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
 from .dataset import Dataset
 from .linalg import gaussian_kernel, kernel_scatter_matrix, largest_eigenvalue, scatter_matrix
 
@@ -40,6 +41,30 @@ class CriticalBeta(NamedTuple):
     cluster: int
 
 
+# K, the Laplacian and its eigenvectors: the N x N float64 arrays a kernel
+# sweep holds at once while it embeds (eigh's workspace comes on top, so the
+# guard rejects only sweeps that cannot fit)
+_KERNEL_DENSE_ARRAYS = 3
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_kernel_memory(n: int) -> None:
+    need = _KERNEL_DENSE_ARRAYS * n * n * np.dtype(float).itemsize
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"kernel mode with N={n} needs at least {need} bytes for its dense "
+            f"N x N arrays, more than the {have} bytes of physical memory"
+        )
+
+
 def _critical_from_lmax(lmax: np.ndarray) -> CriticalBeta:
     top = float(lmax.max())
     if top <= 0.0:
@@ -48,33 +73,60 @@ def _critical_from_lmax(lmax: np.ndarray) -> CriticalBeta:
     return CriticalBeta(beta=1.0 / (2.0 * top), cluster=j)
 
 
-def critical_beta(solution: ClusteringSolution, data: Dataset) -> CriticalBeta:
+def _critical_beta(solution: ClusteringSolution, key, build, cache: Optional[dict]) -> CriticalBeta:
+    """The critical-resolution loop shared by both scatter kinds.
+
+    For each cluster j with members m, key(j, m) names every input of its
+    matrix that can change within a sweep and build(j, m) makes the matrix;
+    cache, if given, maps keys to top eigenvalues already solved, and a hit
+    reuses one.
+    """
+    cache = {} if cache is None else cache
+    lmax = np.zeros(solution.k)
+    for j in range(solution.k):
+        members = solution.members(j)
+        if members.size <= 1:
+            continue
+        block = key(j, members)
+        if block not in cache:
+            cache[block], _ = largest_eigenvalue(build(j, members))
+        lmax[j] = cache[block]
+    return _critical_from_lmax(lmax)
+
+
+def critical_beta(
+    solution: ClusteringSolution, data: Dataset, cache: Optional[dict] = None
+) -> CriticalBeta:
     """Critical resolution of a feature-space solution via scatter spectra.
 
     Singleton clusters have zero scatter and simply lose the max; if every
     cluster has zero spectrum the resolution is unbounded and an error is
-    raised.
+    raised. cache, when given, is a dict owned by one sweep over data;
+    blocks are keyed by member set and centroid, so a cluster that recurs
+    with the same members and centroid is solved once.
     """
-    lmax = np.zeros(solution.k)
-    for j in range(solution.k):
-        members = solution.members(j)
-        if members.size <= 1:
-            continue
-        S = scatter_matrix(data, solution.assignment, solution.centroids[j], j)
-        lmax[j], _ = largest_eigenvalue(S)
-    return _critical_from_lmax(lmax)
+    return _critical_beta(
+        solution,
+        key=lambda j, m: (m.tobytes(), np.asarray(solution.centroids[j], dtype=float).tobytes()),
+        build=lambda j, m: scatter_matrix(data, solution.assignment, solution.centroids[j], j),
+        cache=cache,
+    )
 
 
-def critical_beta_kernel(solution: ClusteringSolution, K: np.ndarray) -> CriticalBeta:
-    """Critical resolution with cluster scatters taken in kernel feature space."""
-    lmax = np.zeros(solution.k)
-    for j in range(solution.k):
-        members = solution.members(j)
-        if members.size <= 1:
-            continue
-        A = kernel_scatter_matrix(K, members)
-        lmax[j], _ = largest_eigenvalue(A)
-    return _critical_from_lmax(lmax)
+def critical_beta_kernel(
+    solution: ClusteringSolution, K: np.ndarray, cache: Optional[dict] = None
+) -> CriticalBeta:
+    """Critical resolution with cluster scatters taken in kernel feature space.
+
+    cache, when given, is a dict owned by one sweep over K; blocks are keyed
+    by member set, so a cluster that recurs across k is solved once.
+    """
+    return _critical_beta(
+        solution,
+        key=lambda j, m: m.tobytes(),
+        build=lambda j, m: kernel_scatter_matrix(K, m),
+        cache=cache,
+    )
 
 
 @dataclass
@@ -147,6 +199,15 @@ def persistence_profile(
     matrix and uses kernel-space scatters. Every randomized step derives from
     seed, one child stream per k. k_min > 1 restricts both the computed
     solutions and the argmax range (used for wide scans around a known k).
+
+    Work that does not depend on k is done once per sweep: in kernel mode the
+    similarity matrix and one Laplacian eigendecomposition, whose first k
+    columns embed the points at every k. A cluster block that recurs across
+    k (same members, and in linear mode the same centroid) has its top
+    eigenvalue solved once, from a cache that lives only for this call. The
+    output is the same as clustering and solving every k from scratch.
+    Kernel mode raises ValueError before building the N x N matrices when
+    they would not fit in physical memory.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -156,12 +217,16 @@ def persistence_profile(
         raise ValueError("k_min must lie in 1..k_max-1")
     if mode not in ("linear", "kernel"):
         raise ValueError(f"unknown mode {mode!r}")
-    K = None
+    K = basis = None
     if mode == "kernel":
         if sigma is None or sigma <= 0:
             raise ValueError("kernel mode requires a positive sigma")
+        _check_kernel_memory(data.n)
         K = gaussian_kernel(data, sigma)
+        basis = spectral_basis(K, k_max)
 
+    # top eigenvalues of the cluster blocks solved so far in this sweep
+    cache: dict = {}
     beta_bar: Dict[int, float] = {}
     crit: Dict[int, int] = {}
     sols: Dict[int, ClusteringSolution] = {}
@@ -170,10 +235,10 @@ def persistence_profile(
         try:
             if mode == "linear":
                 sol = kmeans(data, k, restarts=restarts, seed=child)
-                cb = critical_beta(sol, data)
+                cb = critical_beta(sol, data, cache)
             else:
-                sol = spectral_cluster(K, k, restarts=restarts, seed=child)
-                cb = critical_beta_kernel(sol, K)
+                sol = spectral_cluster(K, k, restarts=restarts, seed=child, basis=basis)
+                cb = critical_beta_kernel(sol, K, cache)
         except (ValueError, RuntimeError) as e:
             raise type(e)(f"k={k}: {e}") from e
         beta_bar[k] = cb.beta

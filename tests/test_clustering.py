@@ -10,6 +10,7 @@ from clusterpersist import (
     gen_rings,
     kmeans,
     normalize_zscore,
+    spectral_basis,
     spectral_cluster,
 )
 from helpers import blobs, same_partition
@@ -149,6 +150,10 @@ def test_spectral_validation():
         spectral_cluster(np.eye(3), 0)
     with pytest.raises(ValueError, match="k exceeds"):
         spectral_cluster(np.eye(3), 4)
+    with pytest.raises(ValueError, match="at least 3 columns"):
+        spectral_cluster(np.ones((4, 4)), 3, basis=spectral_basis(np.ones((4, 4)), 2))
+    with pytest.raises(ValueError, match="must have 4 rows"):
+        spectral_cluster(np.ones((4, 4)), 2, basis=spectral_basis(np.ones((5, 5)), 2))
 
 
 def test_spectral_recovers_rings():
@@ -166,3 +171,8 @@ def test_spectral_deterministic():
     b = spectral_cluster(K, 3, restarts=5, seed=2)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     assert a.distortion == b.distortion
+    # a wider precomputed basis embeds with the same first k columns
+    c = spectral_cluster(K, 3, restarts=5, seed=2, basis=spectral_basis(K, 6))
+    np.testing.assert_array_equal(c.assignment, a.assignment)
+    assert c.centroids.tobytes() == a.centroids.tobytes()
+    assert c.distortion == a.distortion

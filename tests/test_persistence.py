@@ -4,17 +4,22 @@ import math
 import numpy as np
 import pytest
 
+import clusterpersist.persistence as persistence
 from clusterpersist import (
     ClusteringSolution,
     Dataset,
+    PersistenceProfile,
     critical_beta,
     critical_beta_kernel,
     estimate_k,
+    gaussian_kernel,
     gen_rings,
     gen_two_disks,
     kmeans,
+    largest_eigenvalue,
     normalize_zscore,
     persistence_profile,
+    spectral_cluster,
 )
 from helpers import blobs, same_partition
 
@@ -243,3 +248,104 @@ def test_estimate_k_matches_profile():
     k = estimate_k(ds, 6, restarts=4, seed=5)
     assert k == persistence_profile(ds, 6, restarts=4, seed=5).k_t
     assert k == 3
+
+
+def uncached_profile(data, k_max, mode, restarts, seed, sigma=None):
+    """The sweep with every k clustered and solved from scratch: a fresh
+    Laplacian embedding per k and no eigenvalue reuse across k."""
+    K = gaussian_kernel(data, sigma) if mode == "kernel" else None
+    beta_bar, crit = {}, {}
+    for k in range(1, k_max + 1):
+        child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+        if mode == "kernel":
+            cb = critical_beta_kernel(spectral_cluster(K, k, restarts=restarts, seed=child), K)
+        else:
+            cb = critical_beta(kmeans(data, k, restarts=restarts, seed=child), data)
+        beta_bar[k], crit[k] = cb.beta, cb.cluster
+    v = {k: math.log(beta_bar[k]) - math.log(beta_bar[k - 1]) for k in range(2, k_max + 1)}
+    best = max(v.values())
+    k_t = min(k for k, val in v.items() if val == best)
+    return PersistenceProfile(
+        k_max=k_max, k_min=1, beta_bar=beta_bar, v=v, k_t=k_t, critical_cluster=crit
+    )
+
+
+def counting_eigensolver(monkeypatch):
+    """Record the bytes of every matrix the sweep hands to the eigen solver."""
+    seen = []
+
+    def counted(M):
+        seen.append(np.ascontiguousarray(M).tobytes())
+        return largest_eigenvalue(M)
+
+    monkeypatch.setattr(persistence, "largest_eigenvalue", counted)
+    return seen
+
+
+def test_kernel_sweep_matches_uncached_sweep_byte_for_byte(monkeypatch):
+    # rings found at k=3 recur whole at k=2 and k=4
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 100, 0.05, seed=0))
+    args = dict(k_max=4, mode="kernel", restarts=4, seed=1, sigma=0.1)
+    ref_blocks = counting_eigensolver(monkeypatch)
+    ref = uncached_profile(ds, **args)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: eighs.append(M.shape) or eigh(M))
+    blocks = counting_eigensolver(monkeypatch)
+    prof = persistence_profile(ds, **args)
+    assert prof.to_csv() == ref.to_csv()
+    assert prof.to_json() == ref.to_json()
+    # one Laplacian eigendecomposition per sweep, and each distinct kernel
+    # block solved once although the uncached sweep repeats some
+    assert eighs == [(ds.n, ds.n)]
+    assert len(set(blocks)) == len(blocks) == len(set(ref_blocks)) < len(ref_blocks)
+
+
+def test_linear_sweep_matches_uncached_sweep_byte_for_byte():
+    ds = blobs([(0, 0), (6, 0), (0, 6), (6, 6)], 0.5, 40, seed=3)
+    ref = uncached_profile(ds, k_max=7, mode="linear", restarts=4, seed=2)
+    prof = persistence_profile(ds, k_max=7, restarts=4, seed=2)
+    assert prof.to_csv() == ref.to_csv()
+    assert prof.to_json() == ref.to_json()
+
+
+def test_block_cache_keys_on_the_centroid(monkeypatch):
+    # the widest cluster A recurs at k=3 with the same members as at k=2 but
+    # a centroid shifted within scatter_matrix's tolerance; far from the
+    # origin that shift moves A's top eigenvalue, so a key on members alone
+    # would reuse the k=2 value
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(40, 2)) * [3.0, 1.0]
+    b = rng.normal(size=(20, 2)) * 0.2 + [0.0, 30.0]
+    c = rng.normal(size=(20, 2)) * 0.2 + [4.0, 30.0]
+    X = 1e6 + np.vstack([a, b, c])
+    ds = Dataset(X)
+    labels = {1: np.zeros(80, int), 2: np.repeat([0, 1, 1], [40, 20, 20]),
+              3: np.repeat([0, 1, 2], [40, 20, 20])}
+    sols = {}
+    for k, assign in labels.items():
+        sol = manual_solution(X, assign, k)
+        if k == 3:
+            sol.centroids[0] += 5e-4
+        sols[k] = sol
+    monkeypatch.setattr(persistence, "kmeans", lambda data, k, restarts, seed: sols[k])
+    prof = persistence_profile(ds, k_max=3)
+    beta = {k: critical_beta(sol, ds).beta for k, sol in sols.items()}
+    assert beta[3] != beta[2]
+    assert prof.beta_bar == beta
+
+
+def test_kernel_memory_guard_refuses_before_allocating(monkeypatch):
+    ds = blobs([(0, 0), (5, 5)], 0.4, 15, seed=1)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built despite the memory guard")
+
+    monkeypatch.setattr(persistence, "gaussian_kernel", no_kernel)
+    monkeypatch.setattr(persistence, "_physical_memory", lambda: 10_000)
+    need = 3 * 30 * 30 * 8
+    with pytest.raises(ValueError, match=rf"N=30 needs at least {need} bytes.*10000 bytes of physical"):
+        persistence_profile(ds, k_max=3, mode="kernel", sigma=1.0)
+    monkeypatch.setattr(persistence, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="kernel built"):
+        persistence_profile(ds, k_max=3, mode="kernel", sigma=1.0)
