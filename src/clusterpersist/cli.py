@@ -163,8 +163,15 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
 def _validate_profile_args(parser: argparse.ArgumentParser, args) -> None:
     if args.k_max < 2:
         parser.error("--k-max must be at least 2")
-    if args.mode == "kernel" and args.sigma is None:
-        parser.error("--sigma is required with --mode kernel")
+    if not 1 <= args.k_min <= args.k_max - 1:
+        parser.error("--k-min must lie in 1..k-max-1")
+    if args.restarts < 1:
+        parser.error("--restarts must be at least 1")
+    if args.mode == "kernel":
+        if args.sigma is None:
+            parser.error("--sigma is required with --mode kernel")
+        if args.sigma <= 0:
+            parser.error("--sigma must be positive")
 
 
 def _profile_from_args(args):

@@ -1,13 +1,15 @@
 """Clustering solutions: k-means for linearly separable data, normalized
 spectral clustering (Ng-Jordan-Weiss) for shape data.
 
-k-means uses greedy k-means++ seeding, Lloyd iterations to an assignment
-fixed point, deterministic tie-breaking (lowest cluster index, lowest restart
-index), and empty-cluster repair that reassigns the globally farthest point.
+k-means takes unweighted points and uses greedy k-means++ seeding, Lloyd
+iterations to an assignment fixed point, deterministic tie-breaking (lowest
+cluster index, lowest restart index), and empty-cluster repair that
+reassigns the globally farthest point.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,20 +46,51 @@ class ClusteringSolution:
         return np.flatnonzero(self.assignment == j)
 
 
-def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    d2 = (X * X).sum(axis=1)[:, None] + (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
+def _sq_distances(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of X to the rows of C; x2 holds the
+    squared norms of the rows of X."""
+    d2 = x2[:, None] + (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+# numpy sums a row of fewer than 8 values left to right, which is also the
+# order in which adding the rows of the transposed copy sums each column;
+# from 8 values on it sums a row pairwise in blocks of 8, the two orders
+# differ in the last bit, and a one-ulp change in the D^2 distribution can
+# change a k-means++ draw
+_TRANSPOSED_MAX_D = 7
+
+
+def _scoring_copy(X: np.ndarray) -> Optional[np.ndarray]:
+    """The C-contiguous (d, N) copy of X that _candidate_sq_distances scores
+    on, or None where the transposed sums would not be bitwise equal."""
+    return np.ascontiguousarray(X.T) if X.shape[1] <= _TRANSPOSED_MAX_D else None
+
+
+def _candidate_sq_distances(X: np.ndarray, XT: Optional[np.ndarray], c: int) -> np.ndarray:
+    """((X - X[c]) ** 2).sum(axis=1), bitwise; XT is _scoring_copy(X).
+
+    Summing the rows of XT takes about a tenth of the time of summing the
+    short rows of X.
+    """
+    if XT is None:
+        return ((X - X[c]) ** 2).sum(axis=1)
+    D = XT - XT[:, c : c + 1]
+    D *= D
+    return D.sum(axis=0)
+
+
+def _kmeanspp_init(
+    X: np.ndarray, x2: np.ndarray, XT: Optional[np.ndarray], k: int, rng: np.random.Generator
+) -> np.ndarray:
     """Greedy k-means++: sample candidates by the D^2 distribution, keep the
     one that lowers the potential most."""
     n = X.shape[0]
     trials = 2 + int(math.log(k)) if k > 1 else 1
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = _sq_distances(X, centers[:1])[:, 0]
+    d2 = _sq_distances(X, x2, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -66,7 +99,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             cand = rng.choice(n, size=trials, p=d2 / total)
         best_pot, best_c, best_d2 = np.inf, cand[0], None
         for c in cand:
-            alt = np.minimum(d2, ((X - X[c]) ** 2).sum(axis=1))
+            alt = np.minimum(d2, _candidate_sq_distances(X, XT, c))
             pot = alt.sum()
             if pot < best_pot:
                 best_pot, best_c, best_d2 = pot, c, alt
@@ -88,28 +121,68 @@ def _repair_empty(X: np.ndarray, assign: np.ndarray, centers: np.ndarray, counts
         centers[j] = X[donor]
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_means(
+    X: np.ndarray, assign: np.ndarray, counts: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """Mean of the points of each cluster; an empty cluster keeps its center.
+
+    A stable sort groups the rows by cluster in their original order, so each
+    mean is bitwise X[assign == j].mean(axis=0). Sums that scatter or reduce
+    by segment (bincount, add.at, add.reduceat) add in another order.
+    """
+    # a stable sort of 16-bit keys is a radix sort
+    keys = assign.astype(np.int16) if counts.size < 2**15 else assign
+    Xs = X[np.argsort(keys, kind="stable")]
+    means = centers.copy()
+    start = 0
+    for j, count in enumerate(counts.tolist()):
+        if count:
+            means[j] = Xs[start : start + count].mean(axis=0)
+            start += count
+    return means
+
+
+def _lloyd(X: np.ndarray, x2: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     assign = np.full(X.shape[0], -1)
     for _ in range(_LLOYD_CAP):
-        new_assign = np.argmin(_sq_distances(X, centers), axis=1)
+        new_assign = np.argmin(_sq_distances(X, x2, centers), axis=1)
         counts = np.bincount(new_assign, minlength=k)
         if np.any(counts == 0):
-            centers = np.vstack(
-                [X[new_assign == j].mean(axis=0) if counts[j] else centers[j] for j in range(k)]
-            )
+            centers = _cluster_means(X, new_assign, counts, centers)
             _repair_empty(X, new_assign, centers, counts)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        centers = np.vstack([X[assign == j].mean(axis=0) for j in range(k)])
+        centers = _cluster_means(X, assign, counts, centers)
+    else:
+        warnings.warn(
+            f"k={k}: Lloyd iterations stopped at the cap of {_LLOYD_CAP} "
+            "before the assignment settled",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return assign, centers
+
+
+def _check_uniform_weights(data: Dataset) -> None:
+    """Refuse point weights that are not all equal: the seeding, the means
+    and the scatters of the estimator are unweighted."""
+    w = data.weights
+    if np.any(w != w[0]):
+        raise ValueError(
+            "non-uniform point weights are not supported; repeat points instead"
+        )
 
 
 def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> ClusteringSolution:
     """Best of `restarts` k-means++ runs, deterministic given seed.
 
     Ties in nearest-centroid go to the lowest cluster index; ties across
-    restarts go to the lowest restart index.
+    restarts go to the lowest restart index. Points must carry uniform
+    weights (the Dataset default); non-uniform weights raise ValueError, since
+    the seeding and the means would ignore them. A Lloyd run that reaches the
+    iteration cap before its assignment settles emits a RuntimeWarning and
+    keeps its last assignment.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -117,13 +190,16 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
         raise ValueError("k exceeds number of points")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    _check_uniform_weights(data)
     X = data.points
+    x2 = (X * X).sum(axis=1)
+    XT = _scoring_copy(X)
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        centers = _kmeanspp_init(X, k, rng)
-        assign, centers = _lloyd(X, centers, k)
-        d2 = _sq_distances(X, centers)
+        centers = _kmeanspp_init(X, x2, XT, k, rng)
+        assign, centers = _lloyd(X, x2, centers, k)
+        d2 = _sq_distances(X, x2, centers)
         distortion = float(data.weights @ d2.min(axis=1))
         if best is None or distortion < best[0]:
             best = (distortion, assign, centers)

@@ -36,8 +36,10 @@ class Dataset:
     """Points with per-point weights and optional ground-truth labels.
 
     points is an (N, d) float array, weights a length-N nonnegative vector
-    summing to 1 (uniform 1/N when not given). Instances are treated as
-    immutable; the arrays are marked read-only.
+    summing to 1 (uniform 1/N when not given). The annealing toolkit uses
+    the weights; the persistence estimator and kmeans take no weights and
+    refuse non-uniform ones. Instances are treated as immutable; the arrays
+    are marked read-only.
     """
 
     points: np.ndarray

@@ -19,7 +19,13 @@ from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
+from .clustering import (
+    ClusteringSolution,
+    _check_uniform_weights,
+    kmeans,
+    spectral_basis,
+    spectral_cluster,
+)
 from .dataset import Dataset
 from .linalg import gaussian_kernel, kernel_scatter_matrix, largest_eigenvalue, scatter_matrix
 
@@ -208,6 +214,10 @@ def persistence_profile(
     output is the same as clustering and solving every k from scratch.
     Kernel mode raises ValueError before building the N x N matrices when
     they would not fit in physical memory.
+
+    The estimator takes no point weights: data with non-uniform weights
+    raises ValueError, as do restarts < 1 and the other bad arguments,
+    before any clustering or kernel work starts.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -217,6 +227,9 @@ def persistence_profile(
         raise ValueError("k_min must lie in 1..k_max-1")
     if mode not in ("linear", "kernel"):
         raise ValueError(f"unknown mode {mode!r}")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    _check_uniform_weights(data)
     K = basis = None
     if mode == "kernel":
         if sigma is None or sigma <= 0:

@@ -70,6 +70,23 @@ def test_kernel_mode_requires_sigma(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--k-min", "0"], "--k-min"),
+        (["--k-min", "4"], "--k-min"),
+        (["--restarts", "0"], "--restarts"),
+        (["--mode", "kernel", "--sigma", "0"], "--sigma"),
+        (["--mode", "kernel", "--sigma", "-0.5"], "--sigma"),
+    ],
+)
+def test_bad_sweep_arguments_are_usage_errors(extra, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--gen", "rings", "--n", "20", "--k-max", "4"] + extra)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_missing_source_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--k-max", "4"])

@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterpersist.clustering as clustering
 from clusterpersist import (
     ClusteringSolution,
     Dataset,
@@ -13,7 +17,7 @@ from clusterpersist import (
     spectral_basis,
     spectral_cluster,
 )
-from helpers import blobs, same_partition
+from helpers import blobs, same_partition, weighted_95_5
 
 
 def test_kmeans_single_cluster_is_mean():
@@ -176,3 +180,139 @@ def test_spectral_deterministic():
     np.testing.assert_array_equal(c.assignment, a.assignment)
     assert c.centroids.tobytes() == a.centroids.tobytes()
     assert c.distortion == a.distortion
+
+
+# Reference k-means: the mask-per-cluster Lloyd means and the row-sum
+# k-means++ scoring that the hot path must reproduce bit for bit.
+def oracle_sq_distances(X, C):
+    d2 = (X * X).sum(axis=1)[:, None] + (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def oracle_kmeanspp_init(X, k, rng):
+    n = X.shape[0]
+    trials = 2 + int(math.log(k)) if k > 1 else 1
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = oracle_sq_distances(X, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            cand = np.array([rng.integers(n)])
+        else:
+            cand = rng.choice(n, size=trials, p=d2 / total)
+        best_pot, best_c, best_d2 = np.inf, cand[0], None
+        for c in cand:
+            alt = np.minimum(d2, ((X - X[c]) ** 2).sum(axis=1))
+            pot = alt.sum()
+            if pot < best_pot:
+                best_pot, best_c, best_d2 = pot, c, alt
+        centers[j] = X[best_c]
+        d2 = best_d2
+    return centers
+
+
+def oracle_repair_empty(X, assign, centers, counts):
+    for j in np.flatnonzero(counts == 0):
+        dist = ((X - centers[assign]) ** 2).sum(axis=1)
+        dist[counts[assign] <= 1] = -np.inf
+        donor = int(np.argmax(dist))
+        counts[assign[donor]] -= 1
+        assign[donor] = j
+        counts[j] = 1
+        centers[j] = X[donor]
+
+
+def oracle_lloyd(X, centers, k, cap=300):
+    assign = np.full(X.shape[0], -1)
+    for _ in range(cap):
+        new_assign = np.argmin(oracle_sq_distances(X, centers), axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        if np.any(counts == 0):
+            centers = np.vstack(
+                [X[new_assign == j].mean(axis=0) if counts[j] else centers[j] for j in range(k)]
+            )
+            oracle_repair_empty(X, new_assign, centers, counts)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        centers = np.vstack([X[assign == j].mean(axis=0) for j in range(k)])
+    return assign, centers
+
+
+def oracle_kmeans(ds, k, restarts, seed, cap=300):
+    X = ds.points
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        assign, centers = oracle_lloyd(X, oracle_kmeanspp_init(X, k, rng), k, cap)
+        distortion = float(ds.weights @ oracle_sq_distances(X, centers).min(axis=1))
+        if best is None or distortion < best[0]:
+            best = (distortion, assign, centers)
+    return best
+
+
+def assert_matches_oracle(sol, want):
+    distortion, assign, centers = want
+    assert sol.assignment.dtype == assign.dtype
+    np.testing.assert_array_equal(sol.assignment, assign)
+    assert sol.centroids.tobytes() == centers.tobytes()
+    assert sol.distortion == distortion
+
+
+def test_candidate_sq_distances_are_bitwise_the_row_sums():
+    rng = np.random.default_rng(3)
+    for d in range(1, 41):
+        X = rng.normal(size=(500, d)) * rng.uniform(0.1, 10.0, size=d)
+        XT = clustering._scoring_copy(X)
+        for c in (0, 17, 499):
+            got = clustering._candidate_sq_distances(X, XT, c)
+            assert np.array_equal(got, ((X - X[c]) ** 2).sum(axis=1)), f"d={d}, c={c}"
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 30])
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_kmeans_is_bitwise_the_reference(d, k):
+    rng = np.random.default_rng(100 * d + k)
+    ds = Dataset(rng.normal(size=(300, d)) + rng.integers(0, 4, size=(300, 1)) * 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = kmeans(ds, k, restarts=3, seed=k)
+    assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=3, seed=k))
+
+
+@pytest.mark.parametrize("d", [2, 13])
+def test_kmeans_with_empty_cluster_repair_is_bitwise_the_reference(d, monkeypatch):
+    # 10 distinct points, each four times: seeding past 10 centers repeats a
+    # point, the repeated center wins no ties and its cluster starts empty
+    rng = np.random.default_rng(d)
+    ds = Dataset(np.repeat(rng.normal(size=(10, d)), 4, axis=0))
+    repairs = []
+
+    def counted(*args):
+        repairs.append(1)
+        return real(*args)
+
+    real = clustering._repair_empty
+    monkeypatch.setattr(clustering, "_repair_empty", counted)
+    sol = kmeans(ds, 12, restarts=3, seed=0)
+    assert repairs
+    assert_matches_oracle(sol, oracle_kmeans(ds, 12, restarts=3, seed=0))
+
+
+def test_lloyd_cap_warns_and_keeps_the_result(monkeypatch, capsys):
+    ds = blobs([(0, 0), (3, 0), (0, 3)], 1.0, 40, seed=5)
+    monkeypatch.setattr(clustering, "_LLOYD_CAP", 1)
+    with pytest.warns(RuntimeWarning, match=r"k=3: Lloyd iterations stopped at the cap of 1 "):
+        sol = kmeans(ds, 3, restarts=2, seed=4)
+    assert_matches_oracle(sol, oracle_kmeans(ds, 3, restarts=2, seed=4, cap=1))
+    assert capsys.readouterr().out == ""
+
+
+def test_kmeans_refuses_non_uniform_weights():
+    ds = weighted_95_5()
+    with pytest.raises(ValueError, match="non-uniform point weights"):
+        kmeans(ds, 1)
+    uniform = kmeans(Dataset(ds.points, weights=np.full(ds.n, 1.0 / ds.n)), 2, restarts=2, seed=1)
+    assert_matches_oracle(uniform, oracle_kmeans(Dataset(ds.points), 2, restarts=2, seed=1))

@@ -21,7 +21,7 @@ from clusterpersist import (
     persistence_profile,
     spectral_cluster,
 )
-from helpers import blobs, same_partition
+from helpers import blobs, same_partition, weighted_95_5
 
 
 def manual_solution(X, assignment, k):
@@ -349,3 +349,19 @@ def test_kernel_memory_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(persistence, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="kernel built"):
         persistence_profile(ds, k_max=3, mode="kernel", sigma=1.0)
+
+
+def test_bad_sweep_arguments_fail_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep started despite bad arguments")
+
+    monkeypatch.setattr(persistence, "gaussian_kernel", no_work)
+    monkeypatch.setattr(persistence, "kmeans", no_work)
+    ds = blobs([(0, 0), (5, 5)], 0.4, 15, seed=1)
+    for mode, sigma in (("linear", None), ("kernel", 1.0)):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            persistence_profile(ds, k_max=3, mode=mode, sigma=sigma, restarts=0)
+        with pytest.raises(ValueError, match="non-uniform point weights"):
+            persistence_profile(weighted_95_5(), k_max=3, mode=mode, sigma=sigma)
+    with pytest.raises(ValueError, match="non-uniform point weights"):
+        estimate_k(weighted_95_5(), 3)
