@@ -142,14 +142,27 @@ def _cluster_means(
     return means
 
 
-def _lloyd(X: np.ndarray, x2: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lloyd(
+    X: np.ndarray, x2: np.ndarray, centers: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Lloyd iterations from the given centers to an assignment fixed point.
+
+    Returns the assignment, the centers and each point's squared distance to
+    its center; the distances are None when the last iteration repaired an
+    empty cluster or hit the cap, since the centers moved after them.
+    """
     assign = np.full(X.shape[0], -1)
     for _ in range(_LLOYD_CAP):
-        new_assign = np.argmin(_sq_distances(X, x2, centers), axis=1)
+        d2 = _sq_distances(X, x2, centers)
+        new_assign = np.argmin(d2, axis=1)
+        # the row minimum, in O(N); the N x k matrix goes before the means
+        closest = np.take_along_axis(d2, new_assign[:, None], axis=1)[:, 0]
+        del d2
         counts = np.bincount(new_assign, minlength=k)
         if np.any(counts == 0):
             centers = _cluster_means(X, new_assign, counts, centers)
             _repair_empty(X, new_assign, centers, counts)
+            closest = None
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -161,7 +174,8 @@ def _lloyd(X: np.ndarray, x2: np.ndarray, centers: np.ndarray, k: int) -> tuple[
             RuntimeWarning,
             stacklevel=2,
         )
-    return assign, centers
+        closest = None
+    return assign, centers, closest
 
 
 def _check_uniform_weights(data: Dataset) -> None:
@@ -198,9 +212,10 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         centers = _kmeanspp_init(X, x2, XT, k, rng)
-        assign, centers = _lloyd(X, x2, centers, k)
-        d2 = _sq_distances(X, x2, centers)
-        distortion = float(data.weights @ d2.min(axis=1))
+        assign, centers, closest = _lloyd(X, x2, centers, k)
+        if closest is None:
+            closest = _sq_distances(X, x2, centers).min(axis=1)
+        distortion = float(data.weights @ closest)
         if best is None or distortion < best[0]:
             best = (distortion, assign, centers)
     distortion, assign, centers = best

@@ -3,7 +3,10 @@
 Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
 
 * cyclic Jacobi for small matrices (feature-space scatters are d x d with
-  small d), giving the full spectrum at machine precision;
+  small d), giving the full spectrum at machine precision. Each rotation
+  turns two rows of A, then the same two columns of A and of V, stacked in
+  one array, in place; the rotation order and the elementwise formulas are
+  fixed, so the eigenpairs are bitwise stable;
 * shifted power iteration for large kernel blocks where only the top
   eigenvalue is needed. The shift by the infinity norm makes the operator
   positive semidefinite without reordering the algebraic spectrum; a nearly
@@ -15,6 +18,7 @@ independent oracle in the test suite and inside the spectral embedding.
 """
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -43,10 +47,36 @@ def _require_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix must be finite")
     scale = max(1.0, np.abs(M).max())
     if np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValueError("matrix must be symmetric")
     return M
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a float vector, bitwise, without its dispatch.
+
+    These are numpy's own steps. The ravel is kept because it makes a
+    strided vector contiguous, and a strided dot may add in another order.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(float(x.dot(x)))
+
+
+def _rotate(x: np.ndarray, y: np.ndarray, c, s, bx: np.ndarray, by: np.ndarray) -> None:
+    """x, y <- c*x - s*y, s*x + c*y in place, through the buffers bx and by.
+
+    Each product and each sum is its own rounded ufunc step, as in the
+    expressions written out; a fused or matrix form could round differently.
+    """
+    np.multiply(x, c, bx)
+    np.multiply(y, s, by)
+    np.multiply(x, s, x)
+    np.multiply(y, c, y)
+    np.add(x, y, y)
+    np.subtract(bx, by, x)
 
 
 def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.ndarray]:
@@ -55,14 +85,18 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.nda
     Returns (eigenvalues ascending, eigenvectors as columns). Intended for
     small orders; cost grows cubically per sweep.
     """
-    A = _require_symmetric(M).copy()
-    n = A.shape[0]
-    V = np.eye(n)
+    M = _require_symmetric(M)
+    n = M.shape[0]
     if n == 1:
-        return A.diagonal().copy(), V
+        return M.diagonal().copy(), np.eye(n)
+    # A over V in one array, so one column rotation of W turns the columns of
+    # both; A and V are C-ordered blocks, as separate copies would be
+    W = np.vstack([M, np.eye(n)])
+    A, V = W[:n], W[n:]
     norm = np.linalg.norm(A)
     if norm == 0:
-        return np.zeros(n), V
+        return np.zeros(n), np.eye(n)
+    skip = 1e-18 * norm
 
     def offnorm(B):
         # summed directly over off-diagonal entries; computing it as
@@ -71,30 +105,29 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.nda
         np.fill_diagonal(O, 0.0)
         return float(np.linalg.norm(O))
 
+    rows = list(A)
+    cols = list(W.T)
+    rbuf = np.empty(n), np.empty(n)
+    cbuf = np.empty(2 * n), np.empty(2 * n)
     for _ in range(max_sweeps):
         if offnorm(A) <= 1e-14 * norm:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * norm:
+                apq = float(A[p, q])
+                if abs(apq) <= skip:
                     continue
                 # rotation angle zeroing A[p,q]
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                theta = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
                 if theta == 0:
                     t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                else:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                # numpy scalars reach the ufuncs faster than Python floats
+                c, s = np.float64(c), np.float64(t * c)
+                _rotate(rows[p], rows[q], c, s, *rbuf)
+                _rotate(cols[p], cols[q], c, s, *cbuf)
     else:
         if offnorm(A) > 1e-14 * norm:
             raise RuntimeError("jacobi sweep cap reached without convergence")
@@ -115,11 +148,11 @@ def _pair_refine(
     residual) seen, measured against M itself.
     """
     u = kick - (kick @ v0) * v0
-    nu = np.linalg.norm(u)
+    nu = _norm(u)
     if nu < 1e-8:
         u = np.sin(np.arange(M.shape[0]) + 0.25)
         u -= (u @ v0) * v0
-        nu = np.linalg.norm(u)
+        nu = _norm(u)
         if nu == 0:
             return 0.0, v0, np.inf
     V = np.stack([v0, u / nu], axis=1)
@@ -140,7 +173,7 @@ def _pair_refine(
             u0, u1, nu2 = 1.0, 0.0, 1.0
         u0, u1 = u0 / nu2, u1 / nu2
         x = u0 * V[:, 0] + u1 * V[:, 1]
-        res = float(np.linalg.norm(u0 * W[:, 0] + u1 * W[:, 1] - mu * x))
+        res = _norm(u0 * W[:, 0] + u1 * W[:, 1] - mu * x)
         if res < best[2]:
             best = (mu - shift, x, res)
         if res <= target:
@@ -152,16 +185,16 @@ def _pair_refine(
             mark_res, mark_sweep = best[2], sweep
         elif sweep - mark_sweep >= _BLOCK_STALL_WINDOW:
             break
-        n0 = np.linalg.norm(W[:, 0])
+        n0 = _norm(W[:, 0])
         if n0 == 0:
             break
         q0 = W[:, 0] / n0
         q1 = W[:, 1] - (q0 @ W[:, 1]) * q0
-        n1 = np.linalg.norm(q1)
+        n1 = _norm(q1)
         if n1 <= 1e-13 * n0:
             # second column collapsed onto the first; reseed it
             q1 = kick - (kick @ q0) * q0
-            n1 = np.linalg.norm(q1)
+            n1 = _norm(q1)
             if n1 == 0:
                 break
         V = np.stack([q0, q1 / n1], axis=1)
@@ -179,7 +212,7 @@ def _power_iteration(M: np.ndarray) -> Tuple[float, np.ndarray]:
     accept = _POWER_ACCEPT * scale
     v = np.full(n, 1.0 / np.sqrt(n))
     kick = np.cos(np.arange(n) + 0.5)
-    kick /= np.linalg.norm(kick)
+    kick /= _norm(kick)
     # The all-ones start can itself be an eigenvector (doubly centered kernel
     # blocks annihilate it exactly), in which case the quotient stalls at a
     # non-dominant eigenvalue with a perfect residual. Every convergence is
@@ -193,7 +226,7 @@ def _power_iteration(M: np.ndarray) -> Tuple[float, np.ndarray]:
     for _ in range(_POWER_CAP):
         w = M @ v
         lam = float(v @ w)
-        res = float(np.linalg.norm(w - lam * v))
+        res = _norm(w - lam * v)
         if res < best_res:
             best_res = res
             best = (lam, v)
@@ -206,15 +239,15 @@ def _power_iteration(M: np.ndarray) -> Tuple[float, np.ndarray]:
             cand = (lam, v)
             probes += 1
             v = v + 1e-3 * kick
-            v /= np.linalg.norm(v)
+            v /= _norm(v)
             best_res = np.inf
             continue
         w += shift * v
-        nw = np.linalg.norm(w)
+        nw = _norm(w)
         if nw == 0:
             # landed exactly in the shifted operator's null space; kick out
             v = v + 1e-3 * kick
-            v /= np.linalg.norm(v)
+            v /= _norm(v)
             continue
         v = w / nw
     if best_res <= accept:
@@ -251,7 +284,8 @@ def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     pair), a residual of at most 1e-5 * |lambda| is still accepted: it
     certifies the eigenvalue to five digits (the residual bounds the
     eigenvalue error for symmetric matrices) while the vector may mix the
-    cluster. Anything worse raises with the best residual seen.
+    cluster. Anything worse raises with the best residual seen. A matrix
+    that is not square, not finite or not symmetric raises ValueError first.
     """
     M = _require_symmetric(M)
     if M.shape[0] <= _JACOBI_MAX_ORDER:

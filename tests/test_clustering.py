@@ -261,6 +261,21 @@ def assert_matches_oracle(sol, want):
     assert sol.distortion == distortion
 
 
+def spy_final_distances(monkeypatch):
+    """Record, per Lloyd run, whether it handed its last distances back for
+    the distortion (True) or left kmeans to recompute them (False)."""
+    reused = []
+    real = clustering._lloyd
+
+    def spy(*args):
+        out = real(*args)
+        reused.append(out[2] is not None)
+        return out
+
+    monkeypatch.setattr(clustering, "_lloyd", spy)
+    return reused
+
+
 def test_candidate_sq_distances_are_bitwise_the_row_sums():
     rng = np.random.default_rng(3)
     for d in range(1, 41):
@@ -273,12 +288,14 @@ def test_candidate_sq_distances_are_bitwise_the_row_sums():
 
 @pytest.mark.parametrize("d", [2, 5, 13, 30])
 @pytest.mark.parametrize("k", [1, 3, 40])
-def test_kmeans_is_bitwise_the_reference(d, k):
+def test_kmeans_is_bitwise_the_reference(d, k, monkeypatch):
     rng = np.random.default_rng(100 * d + k)
     ds = Dataset(rng.normal(size=(300, d)) + rng.integers(0, 4, size=(300, 1)) * 3.0)
+    reused = spy_final_distances(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sol = kmeans(ds, k, restarts=3, seed=k)
+    assert reused == [True] * 3
     assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=3, seed=k))
 
 
@@ -296,16 +313,21 @@ def test_kmeans_with_empty_cluster_repair_is_bitwise_the_reference(d, monkeypatc
 
     real = clustering._repair_empty
     monkeypatch.setattr(clustering, "_repair_empty", counted)
+    reused = spy_final_distances(monkeypatch)
     sol = kmeans(ds, 12, restarts=3, seed=0)
     assert repairs
+    # every run's final iteration repaired, so its distances were stale
+    assert reused == [False] * 3
     assert_matches_oracle(sol, oracle_kmeans(ds, 12, restarts=3, seed=0))
 
 
 def test_lloyd_cap_warns_and_keeps_the_result(monkeypatch, capsys):
     ds = blobs([(0, 0), (3, 0), (0, 3)], 1.0, 40, seed=5)
     monkeypatch.setattr(clustering, "_LLOYD_CAP", 1)
+    reused = spy_final_distances(monkeypatch)
     with pytest.warns(RuntimeWarning, match=r"k=3: Lloyd iterations stopped at the cap of 1 "):
         sol = kmeans(ds, 3, restarts=2, seed=4)
+    assert reused == [False] * 2
     assert_matches_oracle(sol, oracle_kmeans(ds, 3, restarts=2, seed=4, cap=1))
     assert capsys.readouterr().out == ""
 

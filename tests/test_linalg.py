@@ -11,8 +11,9 @@ from clusterpersist import (
     largest_eigenvalue,
     scatter_matrix,
 )
-from clusterpersist.linalg import _JACOBI_MAX_ORDER, jacobi_eigh
-from helpers import sym
+import clusterpersist.linalg as linalg
+from clusterpersist.linalg import _JACOBI_MAX_ORDER, _norm, jacobi_eigh
+from helpers import blobs, sym
 
 
 def test_identity_top_eigenvalue():
@@ -63,6 +64,25 @@ def test_input_validation():
         largest_eigenvalue(np.ones((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         largest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [5, 70])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_refused_before_any_solver_work(n, bad, monkeypatch):
+    # a NaN fails every comparison, so a symmetry check alone passes it, and
+    # both solvers would then run to their caps
+    M = np.eye(n)
+    M[1, 3] = M[3, 1] = bad
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(linalg, "_power_iteration", no_solver)
+    monkeypatch.setattr(linalg, "_rotate", no_solver)
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        largest_eigenvalue(M)
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        jacobi_eigh(M)
 
 
 def test_power_iteration_survives_centered_matrix():
@@ -144,6 +164,138 @@ def test_jacobi_near_diagonal_input():
     np.fill_diagonal(M, w)
     vals, _ = jacobi_eigh(M)
     np.testing.assert_allclose(vals, np.sort(w), atol=1e-9)
+
+
+# Reference Jacobi: the rotation loop as first written, with a copy of each
+# row and column per rotation. The in-place loop must reproduce it bit for
+# bit. The input checks are left out; they raise or pass M through as float.
+def oracle_jacobi_eigh(M, max_sweeps=50):
+    A = np.asarray(M, dtype=float).copy()
+    n = A.shape[0]
+    V = np.eye(n)
+    if n == 1:
+        return A.diagonal().copy(), V
+    norm = np.linalg.norm(A)
+    if norm == 0:
+        return np.zeros(n), V
+
+    def offnorm(B):
+        O = B.copy()
+        np.fill_diagonal(O, 0.0)
+        return float(np.linalg.norm(O))
+
+    for _ in range(max_sweeps):
+        if offnorm(A) <= 1e-14 * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= 1e-18 * norm:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = A[p, :].copy(), A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp, cq = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                vp, vq = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    else:
+        if offnorm(A) > 1e-14 * norm:
+            raise RuntimeError("jacobi sweep cap reached without convergence")
+    w = A.diagonal().copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
+def assert_jacobi_matches_oracle(M):
+    """Same eigenpairs bit for bit, in the same memory layout."""
+    for got, want in zip(jacobi_eigh(M), oracle_jacobi_eigh(M)):
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
+# every order up to 32, then spaced out to the largest order sent to Jacobi
+@pytest.mark.parametrize("n", [*range(1, 33), 40, 48, 56, _JACOBI_MAX_ORDER])
+def test_jacobi_is_bitwise_the_reference(n):
+    rng = np.random.default_rng(n)
+    assert_jacobi_matches_oracle(sym(rng, n, scale=float(rng.uniform(0.1, 10.0))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 13, 30])
+def test_jacobi_bitwise_on_structured_inputs(n):
+    rng = np.random.default_rng(100 + n)
+    # equal diagonal entries: theta == 0 on the first rotation
+    B = sym(rng, n)
+    np.fill_diagonal(B, 1.5)
+    assert_jacobi_matches_oracle(B)
+    # all ones, rank one: theta == 0 on the first rotation as well
+    assert_jacobi_matches_oracle(np.ones((n, n)))
+    # exactly diagonal: every pair takes the skip branch
+    assert_jacobi_matches_oracle(np.diag(rng.normal(size=n)))
+    # block diagonal: exact zeros skipped among pairs that rotate
+    D = sym(rng, n)
+    D[: n // 2, n // 2 :] = D[n // 2 :, : n // 2] = 0.0
+    assert_jacobi_matches_oracle(D)
+
+
+def test_jacobi_bitwise_on_special_inputs():
+    for n in (1, 2, 7):
+        assert_jacobi_matches_oracle(np.zeros((n, n)))
+    w = np.array([21.0, 17.0, 8.6, 1.1])
+    E = np.random.default_rng(0).normal(size=(4, 4)) * 1e-12
+    M = np.diag(w) + (E + E.T) / 2.0
+    np.fill_diagonal(M, w)
+    assert_jacobi_matches_oracle(M)
+    assert_jacobi_matches_oracle(np.array([[2.0, -0.0], [-0.0, 2.0]]))
+    assert_jacobi_matches_oracle(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
+
+
+def test_jacobi_sweep_cap_raises():
+    M = sym(np.random.default_rng(6), 6)
+    for solver in (jacobi_eigh, oracle_jacobi_eigh):
+        with pytest.raises(RuntimeError, match="jacobi sweep cap reached"):
+            solver(M, max_sweeps=1)
+
+
+def test_jacobi_bitwise_on_near_symmetric_matrices():
+    # off by up to 1e-14 above the diagonal, well inside the symmetry check,
+    # and in either memory order
+    rng = np.random.default_rng(5)
+    for n in range(2, 17):
+        M = sym(rng, n) + 1e-14 * np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+        assert_jacobi_matches_oracle(M)
+        assert_jacobi_matches_oracle(np.asfortranarray(M))
+
+
+def test_jacobi_bitwise_on_scatter_matrices():
+    rng = np.random.default_rng(11)
+    for d in (2, 4, 13, 30):
+        centers = rng.normal(size=(3, d)) * 4.0
+        ds = blobs(centers, 1.0, 40, seed=d)
+        labels = np.asarray(ds.labels)
+        for j in range(3):
+            centroid = ds.points[labels == j].mean(axis=0)
+            assert_jacobi_matches_oracle(scatter_matrix(ds, labels, centroid, j))
+
+
+def test_norm_is_bitwise_numpy_norm():
+    rng = np.random.default_rng(8)
+    for n in [*range(1, 301), 450, 900, 1350]:
+        base = rng.normal(size=(n, 3))
+        for scale in (1e-150, 1.0, 1e150):
+            X = base * scale
+            for v in (X[:, 0].copy(), X[:, 1]):  # contiguous, strided
+                got = _norm(v)
+                assert isinstance(got, float)
+                assert got == np.linalg.norm(v)
 
 
 def test_dispatch_size_boundary():
