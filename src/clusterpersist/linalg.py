@@ -50,9 +50,14 @@ def _require_symmetric(M: np.ndarray) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValueError("matrix must be finite")
     scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.T).max() > 1e-12 * scale:
+    asymmetry = np.abs(M - M.T).max()
+    if asymmetry > 1e-12 * scale:
         raise ValueError("matrix must be symmetric")
-    return M
+    if asymmetry == 0.0:
+        return M
+    # Jacobi rotations cannot remove an antisymmetric part, so a matrix
+    # accepted as nearly symmetric is solved as its upper triangle mirrored
+    return np.triu(M) + np.triu(M, 1).T
 
 
 def _norm(x: np.ndarray) -> float:
@@ -83,7 +88,8 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.nda
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Returns (eigenvalues ascending, eigenvectors as columns). Intended for
-    small orders; cost grows cubically per sweep.
+    small orders; cost grows cubically per sweep. A nearly symmetric M is
+    solved as its upper triangle mirrored.
     """
     M = _require_symmetric(M)
     n = M.shape[0]
@@ -285,7 +291,9 @@ def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     certifies the eigenvalue to five digits (the residual bounds the
     eigenvalue error for symmetric matrices) while the vector may mix the
     cluster. Anything worse raises with the best residual seen. A matrix
-    that is not square, not finite or not symmetric raises ValueError first.
+    that is not square, not finite or not symmetric raises ValueError first;
+    one within the symmetry tolerance but not exactly symmetric is solved as
+    its upper triangle mirrored.
     """
     M = _require_symmetric(M)
     if M.shape[0] <= _JACOBI_MAX_ORDER:

@@ -79,6 +79,35 @@ def _critical_from_lmax(lmax: np.ndarray) -> CriticalBeta:
     return CriticalBeta(beta=1.0 / (2.0 * top), cluster=j)
 
 
+# A block is skipped only when its radius bound, raised by this relative
+# slack, is still below the largest eigenvalue known at its k; and only when
+# n*n*eps, the scale of the rounding in both the bound and the solver, is at
+# most a hundredth of the slack, which holds up to order 6710
+_SKIP_SLACK = 1e-6
+_SKIP_MAX_ORDER = math.isqrt(int(1e-2 * _SKIP_SLACK / np.finfo(float).eps))
+
+
+def _radius_bounds(M: np.ndarray):
+    """Upper bounds ||M^p||_F^(1/p) on the spectral radius of a symmetric M,
+    for p = 1, 2, 4 in turn, each no looser than the one before.
+
+    The eigenvalues of M^p are lambda^p, so rho(M)^p <= ||M^p||_F. The powers
+    are taken of M scaled to unit Frobenius norm, whose entries and powers
+    lie in [-1, 1] at any scale of M, so nothing overflows or underflows.
+    """
+    m = float(np.abs(M).max())
+    if m == 0.0:
+        yield 0.0
+        return
+    P = M / m
+    f = float(np.linalg.norm(P))
+    P /= f
+    for p in (1, 2, 4):
+        if p > 1:
+            P = P @ P
+        yield m * f * float(np.linalg.norm(P)) ** (1.0 / p)
+
+
 def _critical_beta(solution: ClusteringSolution, key, build, cache: Optional[dict]) -> CriticalBeta:
     """The critical-resolution loop shared by both scatter kinds.
 
@@ -86,17 +115,46 @@ def _critical_beta(solution: ClusteringSolution, key, build, cache: Optional[dic
     matrix that can change within a sweep and build(j, m) makes the matrix;
     cache, if given, maps keys to top eigenvalues already solved, and a hit
     reuses one.
+
+    Only the largest top eigenvalue, and the first cluster that has it,
+    reach the result, so a block that provably cannot reach it is not
+    solved. Blocks missing from the cache are visited widest first (by
+    Frobenius norm), and one is skipped when a bound b on its spectral
+    radius (see _radius_bounds) has b * (1 + _SKIP_SLACK) below the largest
+    eigenvalue already known at this k. The result is bitwise the one from
+    solving every block: a Jacobi diagonal, Rayleigh quotient or Ritz value
+    of an n x n matrix exceeds its lambda_max by rounding alone, and the
+    computed b falls short of rho by rounding alone, each a small multiple
+    of n*n*eps relative to rho. For n up to _SKIP_MAX_ORDER that is at most
+    a hundredth of the slack, so a skipped block's solver value would have
+    been strictly below the kept maximum, and neither the max nor its first
+    argmax moves. A block with a non-finite bound fails the comparison and
+    is solved. Skipped blocks are not cached.
     """
     cache = {} if cache is None else cache
     lmax = np.zeros(solution.k)
+    unsolved = []
     for j in range(solution.k):
         members = solution.members(j)
         if members.size <= 1:
             continue
         block = key(j, members)
-        if block not in cache:
-            cache[block], _ = largest_eigenvalue(build(j, members))
+        if block in cache:
+            lmax[j] = cache[block]
+        else:
+            M = build(j, members)
+            unsolved.append((next(_radius_bounds(M)), j, block, M))
+    best = lmax.max()
+    for _, j, block, M in sorted(unsolved, key=lambda u: u[0], reverse=True):
+        if (
+            best > 0.0
+            and M.shape[0] <= _SKIP_MAX_ORDER
+            and any(b * (1.0 + _SKIP_SLACK) < best for b in _radius_bounds(M))
+        ):
+            continue
+        cache[block], _ = largest_eigenvalue(M)
         lmax[j] = cache[block]
+        best = max(best, lmax[j])
     return _critical_from_lmax(lmax)
 
 
@@ -109,7 +167,9 @@ def critical_beta(
     cluster has zero spectrum the resolution is unbounded and an error is
     raised. cache, when given, is a dict owned by one sweep over data;
     blocks are keyed by member set and centroid, so a cluster that recurs
-    with the same members and centroid is solved once.
+    with the same members and centroid is solved once. A scatter whose
+    certified spectral-radius bound is below the largest eigenvalue already
+    known is not solved; the result is bitwise the same (see _critical_beta).
     """
     return _critical_beta(
         solution,
@@ -125,7 +185,9 @@ def critical_beta_kernel(
     """Critical resolution with cluster scatters taken in kernel feature space.
 
     cache, when given, is a dict owned by one sweep over K; blocks are keyed
-    by member set, so a cluster that recurs across k is solved once.
+    by member set, so a cluster that recurs across k is solved once. As in
+    critical_beta, a block that provably cannot hold the largest eigenvalue
+    is not solved, with a bitwise equal result.
     """
     return _critical_beta(
         solution,
@@ -210,8 +272,10 @@ def persistence_profile(
     similarity matrix and one Laplacian eigendecomposition, whose first k
     columns embed the points at every k. A cluster block that recurs across
     k (same members, and in linear mode the same centroid) has its top
-    eigenvalue solved once, from a cache that lives only for this call. The
-    output is the same as clustering and solving every k from scratch.
+    eigenvalue solved once, from a cache that lives only for this call, and
+    a block whose spectral-radius bound is below the largest eigenvalue
+    known at its k is not solved. The output is the same as clustering and
+    solving every k, and every block, from scratch.
     Kernel mode raises ValueError before building the N x N matrices when
     they would not fit in physical memory.
 

@@ -215,9 +215,11 @@ def oracle_jacobi_eigh(M, max_sweeps=50):
     return w[order], V[:, order]
 
 
-def assert_jacobi_matches_oracle(M):
-    """Same eigenpairs bit for bit, in the same memory layout."""
-    for got, want in zip(jacobi_eigh(M), oracle_jacobi_eigh(M)):
+def assert_jacobi_matches_oracle(M, oracle_input=None):
+    """Same eigenpairs bit for bit, in the same memory layout; the oracle
+    solves oracle_input when given, else M."""
+    want_pairs = oracle_jacobi_eigh(M if oracle_input is None else oracle_input)
+    for got, want in zip(jacobi_eigh(M), want_pairs):
         assert got.dtype == want.dtype and got.strides == want.strides
         assert np.array_equal(got, want)
 
@@ -267,12 +269,31 @@ def test_jacobi_sweep_cap_raises():
 
 def test_jacobi_bitwise_on_near_symmetric_matrices():
     # off by up to 1e-14 above the diagonal, well inside the symmetry check,
-    # and in either memory order
+    # and in either memory order: solved as the upper triangle mirrored
     rng = np.random.default_rng(5)
     for n in range(2, 17):
         M = sym(rng, n) + 1e-14 * np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
-        assert_jacobi_matches_oracle(M)
-        assert_jacobi_matches_oracle(np.asfortranarray(M))
+        mirrored = np.triu(M) + np.triu(M, 1).T
+        assert_jacobi_matches_oracle(M, mirrored)
+        assert_jacobi_matches_oracle(np.asfortranarray(M), mirrored)
+
+
+def test_near_symmetric_input_solves_to_eigvalsh():
+    # the antisymmetric part of this matrix kept Jacobi from converging
+    # before the input was mirrored
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(5, 5))
+    M = (A + A.T) / 2 + 1e-14 * np.triu(rng.normal(size=(5, 5)), 1)
+    want = np.linalg.eigvalsh(np.triu(M) + np.triu(M, 1).T)
+    np.testing.assert_allclose(jacobi_eigh(M)[0], want, rtol=0, atol=1e-12)
+    assert abs(largest_eigenvalue(M)[0] - want[-1]) <= 1e-12
+
+
+def test_exactly_symmetric_input_passes_through_unchanged():
+    # the same object, so layout and signed zeros reach the solvers as given
+    for M in (sym(np.random.default_rng(9), 6), np.array([[2.0, -0.0], [-0.0, 2.0]])):
+        for X in (M, np.asfortranarray(M)):
+            assert linalg._require_symmetric(X) is X
 
 
 def test_jacobi_bitwise_on_scatter_matrices():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clusterpersist.persistence as persistence
 from clusterpersist import (
@@ -15,13 +17,15 @@ from clusterpersist import (
     gaussian_kernel,
     gen_rings,
     gen_two_disks,
+    kernel_scatter_matrix,
     kmeans,
     largest_eigenvalue,
+    load_csv,
     normalize_zscore,
     persistence_profile,
-    spectral_cluster,
+    scatter_matrix,
 )
-from helpers import blobs, same_partition, weighted_95_5
+from helpers import DATA_DIR, blobs, same_partition, sym, weighted_95_5
 
 
 def manual_solution(X, assignment, k):
@@ -250,18 +254,35 @@ def test_estimate_k_matches_profile():
     assert k == 3
 
 
+def unpruned_critical_beta(solution, build):
+    """beta_bar and the widest cluster with every block of more than one
+    member solved: a plain max and the first argmax."""
+    lmax = np.zeros(solution.k)
+    for j in range(solution.k):
+        members = solution.members(j)
+        if members.size > 1:
+            lmax[j], _ = persistence.largest_eigenvalue(build(j, members))
+    return 1.0 / (2.0 * float(lmax.max())), int(np.argmax(lmax))
+
+
 def uncached_profile(data, k_max, mode, restarts, seed, sigma=None):
     """The sweep with every k clustered and solved from scratch: a fresh
-    Laplacian embedding per k and no eigenvalue reuse across k."""
+    Laplacian embedding per k, no eigenvalue reuse across k and no block
+    left unsolved. The clusterers are looked up on the persistence module,
+    so a test that replaces them there replaces them here too."""
     K = gaussian_kernel(data, sigma) if mode == "kernel" else None
     beta_bar, crit = {}, {}
     for k in range(1, k_max + 1):
         child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
         if mode == "kernel":
-            cb = critical_beta_kernel(spectral_cluster(K, k, restarts=restarts, seed=child), K)
+            sol = persistence.spectral_cluster(K, k, restarts=restarts, seed=child)
+            cb = unpruned_critical_beta(sol, lambda j, m: kernel_scatter_matrix(K, m))
         else:
-            cb = critical_beta(kmeans(data, k, restarts=restarts, seed=child), data)
-        beta_bar[k], crit[k] = cb.beta, cb.cluster
+            sol = persistence.kmeans(data, k, restarts=restarts, seed=child)
+            cb = unpruned_critical_beta(
+                sol, lambda j, m: scatter_matrix(data, sol.assignment, sol.centroids[j], j)
+            )
+        beta_bar[k], crit[k] = cb
     v = {k: math.log(beta_bar[k]) - math.log(beta_bar[k - 1]) for k in range(2, k_max + 1)}
     best = max(v.values())
     k_t = min(k for k, val in v.items() if val == best)
@@ -295,10 +316,10 @@ def test_kernel_sweep_matches_uncached_sweep_byte_for_byte(monkeypatch):
     prof = persistence_profile(ds, **args)
     assert prof.to_csv() == ref.to_csv()
     assert prof.to_json() == ref.to_json()
-    # one Laplacian eigendecomposition per sweep, and each distinct kernel
-    # block solved once although the uncached sweep repeats some
+    # one Laplacian eigendecomposition per sweep, each kernel block solved
+    # at most once, and fewer distinct blocks solved than the unpruned sweep
     assert eighs == [(ds.n, ds.n)]
-    assert len(set(blocks)) == len(blocks) == len(set(ref_blocks)) < len(ref_blocks)
+    assert len(set(blocks)) == len(blocks) < len(set(ref_blocks))
 
 
 def test_linear_sweep_matches_uncached_sweep_byte_for_byte():
@@ -307,6 +328,140 @@ def test_linear_sweep_matches_uncached_sweep_byte_for_byte():
     prof = persistence_profile(ds, k_max=7, restarts=4, seed=2)
     assert prof.to_csv() == ref.to_csv()
     assert prof.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name, label_column", [("iris", 4), ("wine", 13), ("wisconsin", 30)])
+def test_table_sweep_matches_unpruned_sweep_byte_for_byte(monkeypatch, name, label_column, seed):
+    ds = normalize_zscore(load_csv(DATA_DIR / f"{name}.csv", label_column=label_column))
+    ref_blocks = counting_eigensolver(monkeypatch)
+    ref = uncached_profile(ds, k_max=10, mode="linear", restarts=8, seed=seed)
+    blocks = counting_eigensolver(monkeypatch)
+    prof = persistence_profile(ds, k_max=10, restarts=8, seed=seed)
+    assert prof.to_csv() == ref.to_csv()
+    assert prof.to_json() == ref.to_json()
+    assert len(set(blocks)) == len(blocks) < len(set(ref_blocks))
+
+
+def hand_built_sweep(monkeypatch, X, labels):
+    """The sweep and its unpruned oracle over one given labelling per k
+    (k = 1 .. k_max), and the matrices the sweep solved."""
+    ds = Dataset(X)
+    sols = {k: manual_solution(X, np.asarray(a), k) for k, a in labels.items()}
+    monkeypatch.setattr(persistence, "kmeans", lambda data, k, restarts, seed: sols[k])
+    ref = uncached_profile(ds, k_max=len(labels), mode="linear", restarts=1, seed=0)
+    solved = counting_eigensolver(monkeypatch)
+    prof = persistence_profile(ds, k_max=len(labels))
+    assert prof.to_csv() == ref.to_csv()
+    assert prof.to_json() == ref.to_json()
+    return prof, solved
+
+
+def test_exact_tie_goes_to_the_first_cluster(monkeypatch):
+    # the second cluster mirrors the first through the origin, so their
+    # scatters are bitwise equal; both are solved and the first one wins
+    Q = np.random.default_rng(3).normal(size=(6, 2)) + [40.0, 10.0]
+    X = np.vstack([Q, -Q, [[0.0, 0.0]]])
+    labels = {1: [0] * 13, 2: [0] * 12 + [1], 3: [0] * 6 + [1] * 6 + [2]}
+    sol = manual_solution(X, np.asarray(labels[3]), 3)
+    S = [scatter_matrix(Dataset(X), sol.assignment, sol.centroids[j], j) for j in (0, 1)]
+    assert S[0].tobytes() == S[1].tobytes()
+    prof, solved = hand_built_sweep(monkeypatch, X, labels)
+    assert prof.critical_cluster[3] == 0
+    assert solved.count(S[0].tobytes()) == 2 and len(solved) == 4
+
+
+def test_near_tie_solves_both_blocks(monkeypatch):
+    # two rank-one scatters diag(2, 0) and diag(2 + 2e-12, 0): each bound
+    # is the block's eigenvalue itself, so only the slack keeps the smaller
+    # block from being skipped on a 1e-12 margin
+    X = np.array([[0.0, 0.0], [2.0, 0.0], [20.0, 0.0], [22.0 + 1e-12, 0.0]])
+    prof, solved = hand_built_sweep(monkeypatch, X, {1: [0, 0, 0, 0], 2: [0, 0, 1, 1]})
+    assert prof.critical_cluster[2] == 1
+    assert len(solved) == 3
+
+
+def test_singleton_and_zero_scatter_clusters(monkeypatch):
+    blob = np.random.default_rng(4).normal(size=(10, 2))
+    X = np.vstack([blob, np.full((3, 2), [5.0, -5.0]), [[9.0, 9.0]]])
+    labels = {
+        1: [0] * 14,
+        2: [0] * 10 + [1] * 3 + [0],
+        3: [0] * 10 + [1] * 3 + [2],
+        4: [0] * 5 + [3] * 5 + [1] * 3 + [2],
+    }
+    prof, solved = hand_built_sweep(monkeypatch, X, labels)
+    zero = np.zeros((2, 2)).tobytes()
+    assert zero not in solved
+    assert all(prof.critical_cluster[k] == 0 for k in (2, 3))
+
+
+def test_skipped_block_is_solved_when_it_recurs_as_the_widest(monkeypatch):
+    # the small blob is skipped at k=2 beside the wide pair, and at k=3,
+    # where the pair is split, it is the widest: a skipped block must not
+    # have been cached under any value
+    rng = np.random.default_rng(5)
+    pair = np.vstack([rng.normal(size=(15, 2)) * 0.2, rng.normal(size=(15, 2)) * 0.2 + [8.0, 0.0]])
+    small = rng.normal(size=(12, 2)) * [1.0, 0.6] + [0.0, 30.0]
+    X = np.vstack([pair, small])
+    labels = {1: [0] * 42, 2: [0] * 30 + [1] * 12, 3: [0] * 15 + [2] * 15 + [1] * 12}
+    prof, solved = hand_built_sweep(monkeypatch, X, labels)
+    assert prof.critical_cluster == {1: 0, 2: 0, 3: 1}
+    sol = manual_solution(X, np.asarray(labels[2]), 2)
+    cache = {}
+    critical_beta(sol, Dataset(X), cache)
+    assert len(cache) == 1
+
+
+def test_sweep_sets_aside_a_block_power_iteration_cannot_solve():
+    # at k=3 one kernel block stalls power iteration, but its bound is
+    # below the k=3 maximum, so the sweep completes without solving it
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 80, 0.01, seed=0))
+    prof = persistence_profile(
+        ds, k_max=5, mode="kernel", sigma=0.15, restarts=4, seed=1, keep_solutions=True
+    )
+    assert prof.k_t == 2
+    K = gaussian_kernel(ds, 0.15)
+    stuck = kernel_scatter_matrix(K, prof.per_k_solutions[3].members(2))
+    with pytest.raises(RuntimeError, match="power iteration did not converge"):
+        largest_eigenvalue(stuck)
+    top = 1.0 / (2.0 * prof.beta_bar[3])
+    assert min(persistence._radius_bounds(stuck)) * (1.0 + persistence._SKIP_SLACK) < top
+
+
+def radius_bound_cases():
+    def matrix(kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "psd":
+            A = rng.normal(size=(n, n))
+            return A @ A.T
+        if kind == "indefinite":
+            return sym(rng, n)
+        if kind == "rank-1":
+            u = rng.normal(size=n)
+            return np.outer(u, u) * rng.choice([-1.0, 1.0])
+        return np.zeros((n, n))
+
+    return st.builds(
+        lambda kind, n, seed, scale: matrix(kind, n, seed) * scale,
+        st.sampled_from(["psd", "indefinite", "rank-1", "zero"]),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-150, 1.0, 1e150]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(radius_bound_cases())
+def test_radius_bounds_are_at_least_the_spectral_radius(M):
+    n = M.shape[0]
+    rho = float(np.abs(np.linalg.eigvalsh(M)).max())
+    bounds = list(persistence._radius_bounds(M))
+    assert len(bounds) == (1 if rho == 0.0 else 3)
+    for b in bounds:
+        assert math.isfinite(b)
+        # the bound and eigvalsh each round by a few n*eps
+        assert b >= rho * (1.0 - 4.0 * n * np.finfo(float).eps)
 
 
 def test_block_cache_keys_on_the_centroid(monkeypatch):
