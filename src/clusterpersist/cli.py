@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -239,11 +240,23 @@ def _cmd_gen(parser, args) -> int:
     return 0
 
 
+# longest annealing schedule accepted; every step solves a fixed point per
+# centroid group, so a longer one would not finish in reasonable time
+_MAX_SCHEDULE_STEPS = 100_000
+
+
 def _geometric_schedule(beta_min: float, beta_max: float, ratio: float) -> List[float]:
     if beta_min <= 0 or beta_max <= beta_min:
         raise ValueError("require 0 < beta-min < beta-max")
     if ratio <= 1.0:
         raise ValueError("ratio must exceed 1")
+    # the schedule has floor(steps) + 1 entries; a NaN or infinite count fails too
+    steps = (math.log(beta_max) - math.log(beta_min)) / math.log(ratio)
+    if not steps < _MAX_SCHEDULE_STEPS:
+        raise ValueError(
+            f"schedule would exceed {_MAX_SCHEDULE_STEPS} steps; raise --ratio "
+            "or narrow --beta-min..--beta-max"
+        )
     betas = [beta_min]
     while betas[-1] * ratio <= beta_max:
         betas.append(betas[-1] * ratio)
@@ -251,9 +264,7 @@ def _geometric_schedule(beta_min: float, beta_max: float, ratio: float) -> List[
 
 
 def _cmd_da_trace(parser, args) -> int:
-    data = _build_generated(args)
-    if _effective_normalize(args):
-        data = normalize_zscore(data)
+    data = _load_dataset(args)
     mean = np.average(data.points, axis=0, weights=data.weights)
     C = posterior_covariance(data, mean[None, :], 1.0, 0)
     lam, _ = largest_eigenvalue(C)

@@ -7,11 +7,11 @@ Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
   turns two rows of A, then the same two columns of A and of V, stacked in
   one array, in place; the rotation order and the elementwise formulas are
   fixed, so the eigenpairs are bitwise stable;
-* shifted power iteration for large kernel blocks where only the top
-  eigenvalue is needed. The shift by the infinity norm makes the operator
-  positive semidefinite without reordering the algebraic spectrum; a nearly
-  degenerate top pair, which the single vector cannot separate, is handed to
-  a two-column block refinement.
+* Lanczos with full reorthogonalization for large kernel blocks, where only
+  the top eigenpair is needed. The top eigenvalue of each tridiagonal
+  projection comes from Sturm bisection and its eigenvector from inverse
+  iteration; the result is the Rayleigh quotient of the Ritz vector,
+  certified by its explicit residual.
 
 numpy.linalg.eigh is deliberately not used here; it serves only as an
 independent oracle in the test suite and inside the spectral embedding.
@@ -34,13 +34,9 @@ __all__ = [
 ]
 
 _JACOBI_MAX_ORDER = 64
-_POWER_CAP = 10_000
-_POWER_RTOL = 1e-10       # convergence target on the residual
-_POWER_ACCEPT = 1e-8      # post-condition bound still accepted at the cap
-_POWER_LAM_RTOL = 1e-5    # eigenvalue certificate accepted after refinement
-_PROBE_LIMIT = 3          # convergence verifications per call
-_BLOCK_SWEEP_CAP = 5_000  # two-column refinement sweeps (2 matvecs each)
-_BLOCK_STALL_WINDOW = 2_000  # sweeps without halving the residual -> give up
+_LANCZOS_RTOL = 1e-10   # Ritz residual, relative to ||M||_inf, that ends a block
+_CERTIFIED_RTOL = 1e-8  # explicit residual bound, relative to max(1, ||M||_inf)
+_EPS = float(np.finfo(float).eps)
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -142,164 +138,148 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.nda
     return w[order], V[:, order]
 
 
-def _pair_refine(
-    M: np.ndarray, shift: float, v0: np.ndarray, kick: np.ndarray, target: float
-) -> Tuple[float, np.ndarray, float]:
-    """Two-column orthogonal iteration seeded with a stalled power iterate.
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed unit vector Lanczos starts from; not the constant vector,
+    which doubly centered kernel blocks annihilate exactly."""
+    q = np.cos(np.arange(n) + 0.5)
+    return q / _norm(q)
 
-    A nearly degenerate top pair mixes down at its internal gap, which can be
-    arbitrarily slow; a two-column block converges at the pair's gap to the
-    rest of the spectrum instead, and the 2 x 2 Rayleigh-Ritz problem then
-    separates the pair exactly. Returns the best (eigenvalue, unit vector,
-    residual) seen, measured against M itself.
+
+def _ldl_pivots(a: list, b: list, x: float) -> list:
+    """Pivots d of T - xI = L D L^T for the tridiagonal T with diagonal a and
+    off-diagonal b, b[i] coupling rows i-1 and i (b[0] = 0).
+
+    As many pivots are negative as T has eigenvalues below x (Sturm). A pivot
+    smaller than eps in magnitude is replaced by -eps, a perturbation of the
+    order of rounding for the unit-scale T it is used on.
     """
-    u = kick - (kick @ v0) * v0
-    nu = _norm(u)
-    if nu < 1e-8:
-        u = np.sin(np.arange(M.shape[0]) + 0.25)
-        u -= (u @ v0) * v0
-        nu = _norm(u)
-        if nu == 0:
-            return 0.0, v0, np.inf
-    V = np.stack([v0, u / nu], axis=1)
-    best = (0.0, v0, np.inf)
-    mark_res, mark_sweep = np.inf, 0
-    for sweep in range(_BLOCK_SWEEP_CAP):
-        W = M @ V + shift * V
-        # Ritz projection; the top Ritz vector and its residual come out of
-        # the same product that drives the next sweep
-        a = float(V[:, 0] @ W[:, 0])
-        b = 0.5 * float(V[:, 0] @ W[:, 1] + V[:, 1] @ W[:, 0])
-        c = float(V[:, 1] @ W[:, 1])
-        mu = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
-        u0, u1 = (b, mu - a) if abs(mu - a) >= abs(mu - c) else (mu - c, b)
-        nu2 = np.hypot(u0, u1)
-        if nu2 == 0.0:
-            # projected block is a multiple of the identity; either column works
-            u0, u1, nu2 = 1.0, 0.0, 1.0
-        u0, u1 = u0 / nu2, u1 / nu2
-        x = u0 * V[:, 0] + u1 * V[:, 1]
-        res = _norm(u0 * W[:, 0] + u1 * W[:, 1] - mu * x)
-        if res < best[2]:
-            best = (mu - shift, x, res)
-        if res <= target:
-            break
-        # progress check on cumulative halvings, not single-step jumps: a
-        # rate too slow to halve within the window cannot reach the target
-        # within the sweep cap either
-        if best[2] <= 0.5 * mark_res:
-            mark_res, mark_sweep = best[2], sweep
-        elif sweep - mark_sweep >= _BLOCK_STALL_WINDOW:
-            break
-        n0 = _norm(W[:, 0])
-        if n0 == 0:
-            break
-        q0 = W[:, 0] / n0
-        q1 = W[:, 1] - (q0 @ W[:, 1]) * q0
-        n1 = _norm(q1)
-        if n1 <= 1e-13 * n0:
-            # second column collapsed onto the first; reseed it
-            q1 = kick - (kick @ q0) * q0
-            n1 = _norm(q1)
-            if n1 == 0:
-                break
-        V = np.stack([q0, q1 / n1], axis=1)
-    return best
+    piv, d = [], 1.0
+    for ai, bi in zip(a, b):
+        d = (ai - x) - bi * bi / d
+        if abs(d) < _EPS:
+            d = -_EPS
+        piv.append(d)
+    return piv
 
 
-def _power_iteration(M: np.ndarray) -> Tuple[float, np.ndarray]:
+def _tridiagonal_top(a: list, b: list) -> Tuple[float, list]:
+    """Largest eigenvalue of a unit-scale tridiagonal T (see _ldl_pivots) by
+    bisection, and a unit eigenvector by two steps of inverse iteration at the
+    bisection's upper end, where every pivot is negative: T - xI is negative
+    definite there, so the factorization needs no pivoting."""
+    m = len(a)
+    tol = 4.0 * _EPS
+    lo = max(a)  # each diagonal entry is a Rayleigh quotient of T
+    hi = max(ai + bi + bj for ai, bi, bj in zip(a, b, b[1:] + [0.0])) + tol  # Gershgorin
+    while not all(d < 0.0 for d in _ldl_pivots(a, b, hi)):
+        hi += hi - lo + tol
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if all(d < 0.0 for d in _ldl_pivots(a, b, mid)):
+            hi = mid
+        else:
+            lo = mid
+    piv = _ldl_pivots(a, b, hi)
+    ell = [bi / d for bi, d in zip(b[1:], piv)]  # subdiagonal of L
+    y = [1.0] * m
+    for _ in range(2):
+        for i in range(1, m):
+            y[i] -= ell[i - 1] * y[i - 1]
+        y = [yi / d for yi, d in zip(y, piv)]
+        for i in range(m - 2, -1, -1):
+            y[i] -= ell[i] * y[i + 1]
+        ny = math.sqrt(sum(yi * yi for yi in y))
+        y = [yi / ny for yi in y]
+    return hi, y
+
+
+def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """w with its components along the rows of Q removed, in place; two
+    classical Gram-Schmidt passes keep it orthogonal to working precision."""
+    for _ in range(2):
+        w -= Q.T @ (Q @ w)
+    return w
+
+
+def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Top eigenpair of a symmetric M by Lanczos with full reorthogonalization.
+
+    Each step projects M onto one more Krylov vector and takes the top
+    eigenpair (theta, s) of the tridiagonal projection T of the current
+    block. The block ends converged when its Ritz residual |beta * s_m| is at
+    most _LANCZOS_RTOL * ||M||_inf. A beta that small instead means the block
+    spans an invariant subspace: its Ritz values are exact, but the start
+    vector may have missed the top eigenvector altogether, so the iteration
+    goes on from the coordinate vector farthest from the basis, made
+    orthogonal to it, and convergence is tested only on the block begun at
+    the last restart. The block with the largest theta (the first on ties)
+    gives the Ritz vector v; the result is the Rayleigh quotient v^T M v,
+    which cannot exceed lambda_max beyond rounding, certified by its
+    explicit residual.
+    """
     n = M.shape[0]
-    norm = np.abs(M).sum(axis=1).max()  # infinity norm, >= spectral radius
-    if norm == 0:
-        return 0.0, np.full(n, 1.0 / np.sqrt(n))
-    shift = norm  # makes the largest algebraic eigenvalue the largest in magnitude
-    scale = max(1.0, norm)
-    target = _POWER_RTOL * scale
-    accept = _POWER_ACCEPT * scale
-    v = np.full(n, 1.0 / np.sqrt(n))
-    kick = np.cos(np.arange(n) + 0.5)
-    kick /= _norm(kick)
-    # The all-ones start can itself be an eigenvector (doubly centered kernel
-    # blocks annihilate it exactly), in which case the quotient stalls at a
-    # non-dominant eigenvalue with a perfect residual. Every convergence is
-    # therefore verified once by perturbing and re-iterating; a quotient that
-    # climbs afterwards means the start was orthogonal to the dominant
-    # eigenvector, and the climb is followed instead.
-    cand = None
-    probes = 0
-    best_res = np.inf
-    best = (0.0, v)
-    for _ in range(_POWER_CAP):
-        w = M @ v
-        lam = float(v @ w)
-        res = _norm(w - lam * v)
-        if res < best_res:
-            best_res = res
-            best = (lam, v)
-        if res <= target:
-            window = 10.0 * target
-            if cand is not None and lam <= cand[0] + window:
-                return (lam, v) if lam >= cand[0] else cand
-            if probes >= _PROBE_LIMIT:
-                return (lam, v) if cand is None or lam > cand[0] else cand
-            cand = (lam, v)
-            probes += 1
-            v = v + 1e-3 * kick
-            v /= _norm(v)
-            best_res = np.inf
-            continue
-        w += shift * v
-        nw = _norm(w)
-        if nw == 0:
-            # landed exactly in the shifted operator's null space; kick out
-            v = v + 1e-3 * kick
-            v /= _norm(v)
-            continue
-        v = w / nw
-    if best_res <= accept:
-        return best
-    # a nearly degenerate top pair (the kernel blocks of closed shapes carry
-    # sin/cos mode pairs) stalls the single vector at the pair's internal
-    # gap; escalate to a two-column block, which converges at the pair's gap
-    # to the rest of the spectrum
-    lam_b, v_b, res_b = _pair_refine(M, shift, best[1], kick, target)
-    if res_b < best_res:
-        best_res = res_b
-        best = (lam_b, v_b)
-    if best_res <= accept:
-        return best
-    # For a symmetric matrix the residual bounds the distance from the
-    # quotient to the nearest eigenvalue. A top cluster wider than a pair can
-    # stall the block as well, but the eigenvalue is already pinned to the
-    # cluster's width, so a tight relative certificate is accepted even
-    # though the returned vector may still mix the cluster.
-    if best_res <= _POWER_LAM_RTOL * abs(best[0]):
-        return best
-    raise RuntimeError(
-        f"power iteration did not converge in {_POWER_CAP} iterations; "
-        f"best residual {best_res:.3e} after pair refinement"
-    )
+    norm = float(np.abs(M).sum(axis=1).max())  # infinity norm, >= ||M||_2
+    q = _start_vector(n)
+    if norm == 0.0:
+        return 0.0, q
+    stop = _LANCZOS_RTOL * norm
+    Q = np.empty((n, n))  # basis rows; the pages of rows never reached stay untouched
+    blocks = []  # (theta, s, first basis row) of each finished block
+    first, a, b = 0, [], [0.0]  # T of the current block, scaled by 1 / norm
+    for m in range(n):
+        Q[m] = q
+        w = M @ q
+        a.append(float(q @ w) / norm)
+        beta = _norm(_orthogonalize(w, Q[: m + 1]))
+        theta, s = _tridiagonal_top(a, b)
+        if beta <= stop or m + 1 == n:
+            blocks.append((theta, s, first))
+            if m + 1 == n:
+                break
+            spare = 1.0 - (Q[: m + 1] ** 2).sum(axis=0)  # diagonal of I - Q^T Q
+            w = np.zeros(n)
+            w[int(np.argmax(spare))] = 1.0
+            q = _orthogonalize(w, Q[: m + 1])
+            q /= _norm(q)
+            first, a, b = m + 1, [], [0.0]
+        elif beta * abs(s[-1]) <= stop:
+            blocks.append((theta, s, first))
+            break
+        else:
+            b.append(beta / norm)
+            q = w / beta
+    _, s, first = max(blocks, key=lambda blk: blk[0])
+    v = np.asarray(s) @ Q[first : first + len(s)]
+    v /= _norm(v)
+    u = M @ v
+    lam = float(v @ u)
+    res = _norm(u - lam * v)
+    if not res <= _CERTIFIED_RTOL * max(1.0, norm):
+        raise RuntimeError(
+            f"lanczos residual {res:.3e} exceeds {_CERTIFIED_RTOL} * max(1, ||M||_inf)"
+        )
+    return lam, v
 
 
 def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     """Largest (algebraic) eigenvalue and a unit eigenvector of a symmetric M.
 
-    The residual ||Mv - lambda v|| is at most 1e-8 * max(1, ||M||); a nearly
-    degenerate top pair that stalls the single vector is separated by a
-    two-column refinement. If even that stalls (a top cluster wider than a
-    pair), a residual of at most 1e-5 * |lambda| is still accepted: it
-    certifies the eigenvalue to five digits (the residual bounds the
-    eigenvalue error for symmetric matrices) while the vector may mix the
-    cluster. Anything worse raises with the best residual seen. A matrix
-    that is not square, not finite or not symmetric raises ValueError first;
-    one within the symmetry tolerance but not exactly symmetric is solved as
-    its upper triangle mirrored.
+    Orders up to _JACOBI_MAX_ORDER are solved by cyclic Jacobi, larger ones
+    by Lanczos, whose eigenvalue is the Rayleigh quotient v^T M v of the
+    returned vector. The residual ||Mv - lambda v|| is at most
+    1e-8 * max(1, ||M||_inf); a Lanczos pair that misses this bound raises
+    RuntimeError with its residual. A matrix that is not square, not finite
+    or not symmetric raises ValueError first; one within the symmetry
+    tolerance but not exactly symmetric is solved as its upper triangle
+    mirrored.
     """
     M = _require_symmetric(M)
     if M.shape[0] <= _JACOBI_MAX_ORDER:
         w, V = jacobi_eigh(M)
         return float(w[-1]), V[:, -1]
-    return _power_iteration(M)
+    return _lanczos(M)
 
 
 def scatter_matrix(data: Dataset, assignment: np.ndarray, centroid: np.ndarray, cluster: int) -> np.ndarray:

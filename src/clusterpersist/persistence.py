@@ -122,14 +122,15 @@ def _critical_beta(solution: ClusteringSolution, key, build, cache: Optional[dic
     Frobenius norm), and one is skipped when a bound b on its spectral
     radius (see _radius_bounds) has b * (1 + _SKIP_SLACK) below the largest
     eigenvalue already known at this k. The result is bitwise the one from
-    solving every block: a Jacobi diagonal, Rayleigh quotient or Ritz value
-    of an n x n matrix exceeds its lambda_max by rounding alone, and the
-    computed b falls short of rho by rounding alone, each a small multiple
-    of n*n*eps relative to rho. For n up to _SKIP_MAX_ORDER that is at most
-    a hundredth of the slack, so a skipped block's solver value would have
-    been strictly below the kept maximum, and neither the max nor its first
-    argmax moves. A block with a non-finite bound fails the comparison and
-    is solved. Skipped blocks are not cached.
+    solving every block: the solver's value, a Jacobi diagonal or the
+    Rayleigh quotient of the Lanczos Ritz vector, exceeds the lambda_max of
+    an n x n matrix by rounding alone, and the computed b falls short of rho
+    by rounding alone, each a small multiple of n*n*eps relative to rho.
+    For n up to _SKIP_MAX_ORDER that is at most a hundredth of the slack, so
+    a skipped block's solver value would have been strictly below the kept
+    maximum, and neither the max nor its first argmax moves. A block with a
+    non-finite bound fails the comparison and is solved. Skipped blocks are
+    not cached.
     """
     cache = {} if cache is None else cache
     lmax = np.zeros(solution.k)

@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ except ModuleNotFoundError:  # Python 3.10
 import numpy as np
 import pytest
 
+from clusterpersist import cli
 from clusterpersist.cli import main
 from helpers import DATA_DIR
 
@@ -249,6 +251,30 @@ def test_da_trace_rejects_bad_schedule(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_da_trace_refuses_overlong_schedule_before_building_it(capsys, monkeypatch):
+    # annealing is stubbed out: an accepted schedule reaches it and stops
+    # there, so a schedule that slips past the guard fails the test at the
+    # cost of about _MAX_SCHEDULE_STEPS floats rather than annealing them
+    def no_anneal(*args, **kwargs):
+        raise RuntimeError("anneal reached")
+
+    monkeypatch.setattr(cli, "anneal", no_anneal)
+    base = ["da-trace", "--gen", "two-disks", "--n", "50",
+            "--beta-min", "1.0", "--beta-max", repr(math.e)]
+    for steps, message in (
+        (cli._MAX_SCHEDULE_STEPS + 10, "schedule would exceed"),
+        (cli._MAX_SCHEDULE_STEPS - 10, "anneal reached"),
+    ):
+        ratio = repr(math.exp(1.0 / steps))
+        code, _, err = run_cli(base + ["--ratio", ratio], capsys)
+        assert code == 1
+        assert message in err
+    for beta_max in ("inf", "nan"):
+        code, _, err = run_cli(base[:-1] + [beta_max], capsys)
+        assert code == 1
+        assert "schedule would exceed" in err
 
 
 def run_console_script(args, **run_kwargs):

@@ -29,24 +29,52 @@ def test_diagonal_top_pair():
     assert abs(v[1]) < 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 20, 64, 65, 100])
-def test_top_eigenvalue_matches_dense_oracle(n):
+def oracle_cases(n):
+    """Random symmetric matrices at every order; from the first order solved
+    by Lanczos on, also the inputs that can mislead a Krylov solver."""
     rng = np.random.default_rng(n)
     for _ in range(5):
-        M = sym(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+        yield sym(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+    if n <= _JACOBI_MAX_ORDER:
+        return
+    # the start vector is an eigenvector, of the smaller eigenvalue: the first
+    # Krylov block ends at 5 and the top eigenvalue 6 lies orthogonal to it
+    q = linalg._start_vector(n)
+    w = rng.normal(size=n)
+    w -= (w @ q) * q
+    w /= np.linalg.norm(w)
+    yield 5.0 * np.outer(q, q) + 6.0 * np.outer(w, w)
+    # doubly centered Gram block, as kernel mode builds them
+    X = rng.normal(size=(n, 3))
+    H = np.eye(n) - 1.0 / n
+    G = H @ (X @ X.T) @ H
+    yield (G + G.T) / 2.0
+    # top eigenvalue of multiplicity three, in a random basis
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    d = np.concatenate([[3.0, 3.0, 3.0], rng.uniform(-2.0, 2.5, size=n - 3)])
+    T = (U * d) @ U.T
+    yield (T + T.T) / 2.0
+    yield np.zeros((n, n))
+    # a near-degenerate top pair, and a clustered top triple
+    for top in ([1.0, 1.0 - 1e-6], [1.0, 1.0 - 2e-4], [1.0, 1.0 - 1e-6, 1.0 - 2e-6]):
+        d = np.full(n, 0.1)
+        d[: len(top)] = top
+        yield np.diag(d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 20, 64, 65, 100, 450])
+def test_top_eigenvalue_matches_dense_oracle(n):
+    for M in oracle_cases(n):
         lam, v = largest_eigenvalue(M)
-        ref = np.linalg.eigvalsh(M)[-1]
-        assert lam == pytest.approx(ref, rel=1e-8, abs=1e-8)
-        resid = np.linalg.norm(M @ v - lam * v)
-        assert resid <= 1e-6 * max(1.0, np.abs(M).sum(axis=1).max())
+        scale = max(1.0, np.abs(M).sum(axis=1).max())
+        assert abs(lam - np.linalg.eigvalsh(M)[-1]) <= 1e-12 * scale
+        assert np.linalg.norm(M @ v - lam * v) <= 1e-8 * scale
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [200, 500])
 def test_top_eigenvalue_on_large_gram_blocks(n):
     # the large-matrix path exists for kernel blocks, which are Gram-like
-    # with a decisive top gap; the tight residual asserted here is only met
-    # on such gaps, so the cases stay Gram (a dense GOE top pair at this size
-    # would land on the eigenvalue certificate instead)
     rng = np.random.default_rng(n)
     for _ in range(3):
         X = rng.normal(size=(n, 8)) * float(rng.uniform(0.3, 3.0))
@@ -77,7 +105,7 @@ def test_non_finite_matrix_refused_before_any_solver_work(n, bad, monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("solver reached")
 
-    monkeypatch.setattr(linalg, "_power_iteration", no_solver)
+    monkeypatch.setattr(linalg, "_lanczos", no_solver)
     monkeypatch.setattr(linalg, "_rotate", no_solver)
     with pytest.raises(ValueError, match="matrix must be finite"):
         largest_eigenvalue(M)
@@ -86,9 +114,8 @@ def test_non_finite_matrix_refused_before_any_solver_work(n, bad, monkeypatch):
 
 
 def test_power_iteration_survives_centered_matrix():
-    """Doubly centered Gram blocks annihilate the constant vector, which is
-    also the iteration's start; the dominant eigenvalue must still be found
-    instead of the spurious zero."""
+    """Doubly centered Gram blocks annihilate the constant vector; the
+    dominant eigenvalue must be found, not the zero that vector carries."""
     rng = np.random.default_rng(7)
     for n in (65, 80, 120):
         X = rng.normal(size=(n, 3))
@@ -103,43 +130,42 @@ def test_power_iteration_survives_centered_matrix():
 
 @pytest.mark.parametrize("gap", [1e-6, 2e-4])
 def test_top_eigenvalue_separates_near_degenerate_pair(gap):
-    # gaps in this range stall the single vector indefinitely, but the pair
-    # is isolated from the rest of the spectrum, so the two-column
-    # refinement separates it and full precision comes back
+    # the pair is far closer together than to the rest of the spectrum
     d = np.full(65, 0.1)
     d[0] = 1.0
     d[1] = 1.0 - gap
     M = np.diag(d)
     lam, v = largest_eigenvalue(M)
-    assert abs(lam - 1.0) <= 1e-9
+    assert abs(lam - 1.0) <= 1e-12
     assert np.linalg.norm(M @ v - lam * v) <= 1e-8
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_top_eigenvalue_certified_on_clustered_triple():
-    # three eigenvalues within 2e-6: the block stalls against the third
-    # mode, but the quotient is pinned inside the cluster, so the
-    # certificate tier returns the eigenvalue without a clean vector
+    # three eigenvalues within 2e-6 still give a certified vector
     d = np.full(65, 0.1)
     d[0] = 1.0
     d[1] = 1.0 - 1e-6
     d[2] = 1.0 - 2e-6
-    lam, v = largest_eigenvalue(np.diag(d))
-    assert abs(lam - 1.0) <= 3e-6
+    M = np.diag(d)
+    lam, v = largest_eigenvalue(M)
+    assert abs(lam - 1.0) <= 1e-12
+    assert np.linalg.norm(M @ v - lam * v) <= 1e-8
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_power_iteration_raises_on_uncertifiable_cluster():
-    # a triple spread over 4e-4 with a large negative ballast inflating the
-    # shift: too wide for the eigenvalue certificate, mixing too slowly for
-    # either the single vector or the block to separate within the caps
+def test_top_eigenvalue_of_wide_cluster_beside_large_negative_eigenvalue():
+    # a triple spread over 4e-4 beside -9, which dominates ||M||_inf and so
+    # every tolerance scaled by it
     d = np.full(65, 0.1)
     d[0] = 1.0
     d[1] = 1.0 - 2e-4
     d[2] = 1.0 - 4e-4
     d[3] = -9.0
-    with pytest.raises(RuntimeError, match="power iteration did not converge"):
-        largest_eigenvalue(np.diag(d))
+    M = np.diag(d)
+    lam, v = largest_eigenvalue(M)
+    assert abs(lam - 1.0) <= 1e-12
+    assert np.linalg.norm(M @ v - lam * v) <= 1e-8 * np.abs(M).sum(axis=1).max()
 
 
 def test_jacobi_full_factorization():
