@@ -1,11 +1,11 @@
 """Deterministic-annealing reference implementation.
 
-Provides the free energy, Gibbs associations, the centroid fixed point, the
-Hessian quadratic form whose loss of positivity marks a phase transition,
-and an annealing sweep that detects splits empirically. The persistence
-estimator never calls into this module; it exists to verify that the
-predicted critical resolution 1/(2 lambda_max(C)) matches where splits
-actually happen.
+Provides the free energy and Gibbs associations (one logit routine), the
+centroid fixed point, the Hessian form whose loss of positivity marks a
+phase transition, and an annealing sweep that detects splits empirically,
+one posterior evaluation per step. The persistence estimator never calls
+this module; it verifies that the predicted critical resolution
+1/(2 lambda_max(C)) matches where splits actually happen.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import largest_eigenvalue
+from .linalg import _sq_distances, largest_eigenvalue
 
 __all__ = [
     "AnnealTrace",
@@ -55,17 +55,19 @@ class AnnealTrace:
         return None
 
 
+def _shifted_logits(data: Dataset, centroids: np.ndarray, beta: float):
+    """a - m and m, where a = -beta ||x_i - y_j||^2 and m is the row max of a."""
+    X = data.points
+    a = -beta * _sq_distances(X, (X * X).sum(axis=1), np.atleast_2d(centroids))
+    m = a.max(axis=1, keepdims=True)
+    return a - m, m
+
+
 def gibbs_associations(data: Dataset, centroids: np.ndarray, beta: float) -> np.ndarray:
     """Row-stochastic p(j|i) = softmax_j(-beta ||x_i - y_j||^2), overflow-safe."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    X = data.points
-    Y = np.atleast_2d(centroids)
-    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
-    np.maximum(d2, 0.0, out=d2)
-    a = -beta * d2
-    a -= a.max(axis=1, keepdims=True)
-    e = np.exp(a)
+    e = np.exp(_shifted_logits(data, centroids, beta)[0])
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -73,13 +75,8 @@ def free_energy(data: Dataset, centroids: np.ndarray, beta: float) -> float:
     """F = -(1/beta) sum_i p_i log sum_j exp(-beta ||x_i - y_j||^2)."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    X = data.points
-    Y = np.atleast_2d(centroids)
-    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
-    np.maximum(d2, 0.0, out=d2)
-    a = -beta * d2
-    m = a.max(axis=1)
-    lse = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+    shifted, m = _shifted_logits(data, centroids, beta)
+    lse = m[:, 0] + np.log(np.exp(shifted).sum(axis=1))
     return float(-(data.weights @ lse) / beta)
 
 
@@ -104,11 +101,11 @@ def da_fixed_point(
     X, w = data.points, data.weights
     Y = np.atleast_2d(np.asarray(centroids_init, dtype=float)).copy()
     for _ in range(max_iter):
-        P = gibbs_associations(data, Y, beta)
-        mass = (w[:, None] * P).sum(axis=0)
+        wP = w[:, None] * gibbs_associations(data, Y, beta)
+        mass = wP.sum(axis=0)
         Ynew = Y.copy()
         nz = mass > 0
-        Ynew[nz] = ((w[:, None] * P).T @ X)[nz] / mass[nz, None]
+        Ynew[nz] = (wP.T @ X)[nz] / mass[nz, None]
         move = float(np.abs(Ynew - Y).max())
         Y = Ynew
         if move < tol:
@@ -122,7 +119,11 @@ def posterior_covariance(data: Dataset, centroids: np.ndarray, beta: float, j: i
     """Covariance of cluster j under the posterior p(i|j), normalized so the
     posterior weights sum to 1 (the soft analogue of a covariance, distinct
     from the unnormalized hard scatter)."""
-    P = gibbs_associations(data, centroids, beta)
+    return _posterior_covariance(data, gibbs_associations(data, centroids, beta), centroids, j)
+
+
+def _posterior_covariance(data: Dataset, P: np.ndarray, centroids: np.ndarray, j: int) -> np.ndarray:
+    """posterior_covariance of cluster j from the associations P."""
     q = data.weights * P[:, j]
     total = q.sum()
     if total <= 0:
@@ -148,7 +149,7 @@ def hessian_quadratic_form(
         mass = float(w @ P[:, j])
         if mass <= 0:
             continue
-        C = posterior_covariance(data, Y, beta, j)
+        C = _posterior_covariance(data, P, Y, j)
         pj = psi[j]
         total += mass * float(pj @ pj - 2.0 * beta * (pj @ C @ pj))
     # cross term: sum_i p_i [ sum_j p(j|i) (x_i - y_j)^T psi_j ]^2
@@ -205,9 +206,9 @@ def anneal(
     trace = AnnealTrace()
     for beta in betas:
         cand = np.empty((2 * centers.shape[0], X.shape[1]))
+        P = gibbs_associations(data, centers, beta)
         for g in range(centers.shape[0]):
-            C = posterior_covariance(data, centers, beta, g)
-            _, u = largest_eigenvalue(C)
+            _, u = largest_eigenvalue(_posterior_covariance(data, P, centers, g))
             # canonical sign so the sweep is reproducible
             lead = np.flatnonzero(np.abs(u) > 1e-12)
             if lead.size and u[lead[0]] < 0:

@@ -73,8 +73,7 @@ def _build_generated(args) -> Dataset:
         sd = _arg(args, "sd", gen)
         cov = (sd * sd) * np.eye(2)
         means = [(-h, -h), (-h, h), (h, -h), (h, h)]
-        ds = gen_gaussian_mixture(means, [cov] * 4, [n] * 4, seed)
-        return Dataset(ds.points, weights=ds.weights, labels=ds.labels, name="gaussians4")
+        return gen_gaussian_mixture(means, [cov] * 4, [n] * 4, seed)
     if gen == "superclusters":
         sd = _arg(args, "sd", gen)
         return gen_supercluster_grid(

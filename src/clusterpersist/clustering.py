@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
+from .linalg import _sq_distances
 
 __all__ = ["ClusteringSolution", "kmeans", "spectral_basis", "spectral_cluster"]
 
@@ -44,14 +45,6 @@ class ClusteringSolution:
 
     def members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == j)
-
-
-def _sq_distances(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Squared distances of the rows of X to the rows of C; x2 holds the
-    squared norms of the rows of X."""
-    d2 = x2[:, None] + (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 # numpy sums a row of fewer than 8 values left to right, which is also the
@@ -272,6 +265,4 @@ def spectral_cluster(
     norms = np.linalg.norm(U, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     U = U / norms
-    emb = Dataset(U, name="embedding")
-    sol = kmeans(emb, k, restarts=restarts, seed=seed)
-    return sol
+    return kmeans(Dataset(U), k, restarts=restarts, seed=seed)

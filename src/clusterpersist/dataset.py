@@ -45,7 +45,6 @@ class Dataset:
     points: np.ndarray
     weights: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -101,7 +100,7 @@ def normalize_zscore(data: Dataset) -> Dataset:
     nonconst = sd > 0
     out[:, nonconst] /= sd[nonconst]
     out[:, ~nonconst] = 0.0
-    return Dataset(out, weights=data.weights, labels=data.labels, name=data.name)
+    return Dataset(out, weights=data.weights, labels=data.labels)
 
 
 def load_csv(path, has_header: bool = False, label_column: Optional[int] = None) -> Dataset:
@@ -144,7 +143,7 @@ def load_csv(path, has_header: bool = False, label_column: Optional[int] = None)
             raise ValueError("label column must be integer-valued")
         labels = lab.astype(int)
         values = np.delete(values, label_column, axis=1)
-    return Dataset(values, labels=labels, name=path.stem)
+    return Dataset(values, labels=labels)
 
 
 def _sample_gaussian(rng, mean, cov, count):
@@ -173,7 +172,7 @@ def gen_gaussian_mixture(means, covariances, counts, seed: int) -> Dataset:
     for j, (m, c, n) in enumerate(zip(means, covariances, counts)):
         pts.append(_sample_gaussian(rng, m, c, int(n)))
         labs.append(np.full(int(n), j))
-    return Dataset(np.vstack(pts), labels=np.concatenate(labs), name="gaussian_mixture")
+    return Dataset(np.vstack(pts), labels=np.concatenate(labs))
 
 
 def gen_two_disks(R: float, center_gap: float, n_per_disk: int, seed: int) -> Dataset:
@@ -192,7 +191,7 @@ def gen_two_disks(R: float, center_gap: float, n_per_disk: int, seed: int) -> Da
         th = rng.uniform(0, 2 * np.pi, size=n_per_disk)
         pts.append(np.c_[r * np.cos(th), cy + r * np.sin(th)])
     labels = np.repeat([0, 1], n_per_disk)
-    return Dataset(np.vstack(pts), labels=labels, name="two_disks")
+    return Dataset(np.vstack(pts), labels=labels)
 
 
 def gen_supercluster_grid(
@@ -219,7 +218,7 @@ def gen_supercluster_grid(
             pts.append(_sample_gaussian(rng, c, sub_cov, n_per_sub))
             labs.append(np.full(n_per_sub, label))
             label += 1
-    return Dataset(np.vstack(pts), labels=np.concatenate(labs), name="superclusters")
+    return Dataset(np.vstack(pts), labels=np.concatenate(labs))
 
 
 def gen_rings(radii: Sequence[float], n_per_ring: int, noise_sd: float, seed: int) -> Dataset:
@@ -237,7 +236,7 @@ def gen_rings(radii: Sequence[float], n_per_ring: int, noise_sd: float, seed: in
         ring += noise_sd * rng.standard_normal(ring.shape)
         pts.append(ring)
         labs.append(np.full(n_per_ring, j))
-    return Dataset(np.vstack(pts), labels=np.concatenate(labs), name="rings")
+    return Dataset(np.vstack(pts), labels=np.concatenate(labs))
 
 
 def gen_spirals(n_arms: int, n_per_arm: int, noise_sd: float, seed: int) -> Dataset:
@@ -256,4 +255,4 @@ def gen_spirals(n_arms: int, n_per_arm: int, noise_sd: float, seed: int) -> Data
         arm += noise_sd * rng.standard_normal(arm.shape)
         pts.append(arm)
         labs.append(np.full(n_per_arm, j))
-    return Dataset(np.vstack(pts), labels=np.concatenate(labs), name="spirals")
+    return Dataset(np.vstack(pts), labels=np.concatenate(labs))

@@ -1,4 +1,4 @@
-"""Symmetric spectral routines and scatter matrices, including the kernel form.
+"""Symmetric eigen solvers, scatter matrices (also kernel form), squared distances.
 
 Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
 
@@ -11,7 +11,9 @@ Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
   the top eigenpair is needed. The top eigenvalue of each tridiagonal
   projection comes from Sturm bisection and its eigenvector from inverse
   iteration; the result is the Rayleigh quotient of the Ritz vector,
-  certified by its explicit residual.
+  certified by its explicit residual. After a Krylov block breaks down, the
+  iteration restarts only while the Frobenius mass outside the blocks found
+  could still hold a larger eigenvalue.
 
 numpy.linalg.eigh is deliberately not used here; it serves only as an
 independent oracle in the test suite and inside the spectral embedding.
@@ -37,6 +39,14 @@ _JACOBI_MAX_ORDER = 64
 _LANCZOS_RTOL = 1e-10   # Ritz residual, relative to ||M||_inf, that ends a block
 _CERTIFIED_RTOL = 1e-8  # explicit residual bound, relative to max(1, ||M||_inf)
 _EPS = float(np.finfo(float).eps)
+
+
+def _sq_distances(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of X to the rows of C; x2 holds the
+    squared norms of the rows of X."""
+    d2 = x2[:, None] + (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -211,10 +221,15 @@ def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
     block. The block ends converged when its Ritz residual |beta * s_m| is at
     most _LANCZOS_RTOL * ||M||_inf. A beta that small instead means the block
     spans an invariant subspace: its Ritz values are exact, but the start
-    vector may have missed the top eigenvector altogether, so the iteration
-    goes on from the coordinate vector farthest from the basis, made
-    orthogonal to it, and convergence is tested only on the block begun at
-    the last restart. The block with the largest theta (the first on ties)
+    vector may have missed the top eigenvector altogether. Once the largest
+    theta so far is positive and its square exceeds the Frobenius mass left
+    outside the blocks, ||M||_F^2 - sum ||T||_F^2 in units of ||M||_inf, by a
+    rounding margin of 4 n eps of the total, no eigenvalue outside them can
+    be larger, and the iteration ends; couplings between blocks, each at most
+    the breakdown beta, only shrink the true mass outside. Otherwise it goes
+    on from the coordinate vector farthest from the basis, made orthogonal
+    to it, and convergence is tested only on the block begun at the last
+    restart. The block with the largest theta (the first on ties)
     gives the Ritz vector v; the result is the Rayleigh quotient v^T M v,
     which cannot exceed lambda_max beyond rounding, certified by its
     explicit residual.
@@ -228,6 +243,7 @@ def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
     Q = np.empty((n, n))  # basis rows; the pages of rows never reached stay untouched
     blocks = []  # (theta, s, first basis row) of each finished block
     first, a, b = 0, [], [0.0]  # T of the current block, scaled by 1 / norm
+    outside = None  # Frobenius mass of M / norm outside the finished blocks
     for m in range(n):
         Q[m] = q
         w = M @ q
@@ -237,6 +253,13 @@ def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
         if beta <= stop or m + 1 == n:
             blocks.append((theta, s, first))
             if m + 1 == n:
+                break
+            if outside is None:
+                total = float(np.linalg.norm(M / norm)) ** 2
+                outside, margin = total, 4.0 * n * _EPS * total
+            outside -= sum(x * x for x in a) + 2.0 * sum(x * x for x in b)
+            top = max(blk[0] for blk in blocks)
+            if top > 0.0 and outside + margin < top * top:
                 break
             spare = 1.0 - (Q[: m + 1] ** 2).sum(axis=0)  # diagonal of I - Q^T Q
             w = np.zeros(n)
@@ -299,8 +322,7 @@ def scatter_matrix(data: Dataset, assignment: np.ndarray, centroid: np.ndarray, 
     if np.abs(centroid - mean).max() > 1e-9 * max(1.0, np.abs(mean).max()):
         raise ValueError("centroid mismatch")
     D = X - centroid
-    S = D.T @ D
-    return (S + S.T) / 2.0
+    return D.T @ D  # syrk, one triangle copied: exactly symmetric
 
 
 def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndarray:
@@ -325,10 +347,8 @@ def gaussian_kernel(data: Dataset, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     X = data.points
-    sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = _sq_distances(X, (X * X).sum(axis=1), X)
     K = np.exp(-d2 / (2.0 * sigma * sigma))
-    K = (K + K.T) / 2.0
+    K = (K + K.T) / 2.0  # X @ X.T is gemm, not symmetric, for doubly strided X
     np.fill_diagonal(K, 1.0)
     return K

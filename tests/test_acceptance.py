@@ -212,7 +212,7 @@ def _random_line_mixture(seed):
         count = int(rng.integers(200, 401))
         sd = float(rng.uniform(0.5, 1.0))
         blocks.append(rng.normal(size=(count, 2)) * sd + (4.0 * i) * u)
-    return Dataset(np.vstack(blocks), name=f"mixture-{seed}")
+    return Dataset(np.vstack(blocks))
 
 
 def test_criterion_7_phase_transition_prediction():
@@ -259,7 +259,7 @@ def test_criterion_8a_scale_invariance():
     base = persistence_profile(ds, k_max=6, restarts=5, seed=3, keep_solutions=True)
     for c in (0.1, 1.0, 10.0):
         scaled = persistence_profile(
-            Dataset(c * ds.points, name="scaled"),
+            Dataset(c * ds.points),
             k_max=6, restarts=5, seed=3, keep_solutions=True,
         )
         assert scaled.k_t == base.k_t
@@ -274,7 +274,7 @@ def test_criterion_8a_scale_invariance():
 
 def test_criterion_8b_translation_invariance():
     ds = blobs([(0, 0), (6, 1)], 0.4, 35, seed=9)
-    shifted = Dataset(ds.points + np.array([100.0, -40.0]), name="shifted")
+    shifted = Dataset(ds.points + np.array([100.0, -40.0]))
     a = persistence_profile(ds, k_max=4, restarts=5, seed=1)
     b = persistence_profile(shifted, k_max=4, restarts=5, seed=1)
     assert b.k_t == a.k_t

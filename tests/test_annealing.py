@@ -12,8 +12,10 @@ from clusterpersist import (
     gibbs_associations,
     hessian_quadratic_form,
     kmeans,
+    largest_eigenvalue,
     posterior_covariance,
 )
+import clusterpersist.annealing as annealing
 from helpers import blobs
 
 
@@ -24,7 +26,7 @@ def line_mixture(seed):
     u /= np.linalg.norm(u)
     a = rng.normal(size=(300, 2)) * 0.6
     b = rng.normal(size=(250, 2)) * 0.8 + 4.0 * u
-    return Dataset(np.vstack([a, b]), name="line-mixture")
+    return Dataset(np.vstack([a, b]))
 
 
 def duplicated_mean_direction(ds):
@@ -305,3 +307,170 @@ def test_trace_csv_layout(tmp_path):
     p = tmp_path / "trace.csv"
     assert trace.to_csv(p) is None
     assert p.read_text() == text
+
+
+# The formulas of the annealing toolkit as first written, each with its own
+# distance matrix and logits and one posterior evaluation per group; the
+# package must reproduce them bit for bit.
+def oracle_gibbs_associations(data, centroids, beta):
+    X = data.points
+    Y = np.atleast_2d(centroids)
+    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(d2, 0.0, out=d2)
+    a = -beta * d2
+    a -= a.max(axis=1, keepdims=True)
+    e = np.exp(a)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def oracle_free_energy(data, centroids, beta):
+    X = data.points
+    Y = np.atleast_2d(centroids)
+    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(d2, 0.0, out=d2)
+    a = -beta * d2
+    m = a.max(axis=1)
+    lse = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+    return float(-(data.weights @ lse) / beta)
+
+
+def oracle_posterior_covariance(data, centroids, beta, j):
+    P = oracle_gibbs_associations(data, centroids, beta)
+    q = data.weights * P[:, j]
+    total = q.sum()
+    if total <= 0:
+        raise ValueError(f"cluster {j} has zero posterior mass")
+    q = q / total
+    D = data.points - np.atleast_2d(centroids)[j]
+    C = (q[:, None] * D).T @ D
+    return (C + C.T) / 2.0
+
+
+def oracle_hessian_quadratic_form(data, centroids, beta, psi):
+    X, w = data.points, data.weights
+    Y = np.atleast_2d(centroids)
+    psi = np.atleast_2d(psi)
+    P = oracle_gibbs_associations(data, Y, beta)
+    total = 0.0
+    for j in range(Y.shape[0]):
+        mass = float(w @ P[:, j])
+        if mass <= 0:
+            continue
+        C = oracle_posterior_covariance(data, Y, beta, j)
+        pj = psi[j]
+        total += mass * float(pj @ pj - 2.0 * beta * (pj @ C @ pj))
+    proj = np.zeros(X.shape[0])
+    for j in range(Y.shape[0]):
+        proj += P[:, j] * ((X - Y[j]) @ psi[j])
+    total += 2.0 * beta * beta * float(w @ (proj * proj))
+    return total
+
+
+def oracle_da_fixed_point(data, centroids_init, beta, tol, max_iter, accept):
+    X, w = data.points, data.weights
+    Y = np.atleast_2d(np.asarray(centroids_init, dtype=float)).copy()
+    for _ in range(max_iter):
+        P = oracle_gibbs_associations(data, Y, beta)
+        mass = (w[:, None] * P).sum(axis=0)
+        Ynew = Y.copy()
+        nz = mass > 0
+        Ynew[nz] = ((w[:, None] * P).T @ X)[nz] / mass[nz, None]
+        move = float(np.abs(Ynew - Y).max())
+        Y = Ynew
+        if move < tol:
+            return Y
+    assert move <= accept
+    return Y
+
+
+def oracle_anneal_schedule(data, betas, scale=1e-6):
+    X, w = data.points, data.weights
+    diam = float(np.linalg.norm(X.max(axis=0) - X.min(axis=0)))
+    offset, thresh = scale * diam, annealing._DISTINCT_FRAC * diam
+    centers = np.average(X, axis=0, weights=w)[None, :]
+    schedule, splits = [], []
+    for beta in betas:
+        cand = np.empty((2 * centers.shape[0], X.shape[1]))
+        for g in range(centers.shape[0]):
+            _, u = largest_eigenvalue(oracle_posterior_covariance(data, centers, beta, g))
+            lead = np.flatnonzero(np.abs(u) > 1e-12)
+            if lead.size and u[lead[0]] < 0:
+                u = -u
+            cand[2 * g] = centers[g] + offset * u
+            cand[2 * g + 1] = centers[g] - offset * u
+        Y = oracle_da_fixed_point(
+            data, cand, beta, 1e-9 * diam, annealing._FP_CAP, 0.5 * thresh
+        )
+        new_centers, idx = annealing._group_centroids(Y, thresh)
+        splits += [(beta, g) for g in range(centers.shape[0]) if idx[2 * g] != idx[2 * g + 1]]
+        centers = new_centers
+        schedule.append((beta, centers.shape[0], oracle_free_energy(data, centers, beta)))
+    return schedule, splits
+
+
+def oracle_datasets():
+    """A weighted and a uniform dataset, each with centroid sets of one to
+    five rows, coincident rows and one far from every point included."""
+    rng = np.random.default_rng(11)
+    uniform = blobs([(0, 0), (4, 1), (1, 5)], 0.7, 20, seed=3)
+    w = rng.uniform(0.1, 2.0, size=60)
+    weighted = Dataset(uniform.points, weights=w / w.sum())
+    for ds in (weighted, uniform):
+        for m in range(1, 6):
+            Y = ds.points[rng.choice(ds.n, size=m, replace=False)] + rng.normal(size=(m, 2))
+            yield ds, Y
+            if m >= 2:
+                Yc = Y.copy()
+                Yc[1] = Yc[0]
+                yield ds, Yc
+        yield ds, np.array([[0.5, 0.5], [0.5, 0.5], [40.0, -30.0]])
+
+
+ORACLE_BETAS = (0.0, 1e-3, 1.0, 1e3)
+
+
+def test_associations_and_free_energy_are_bitwise_the_oracle():
+    for ds, Y in oracle_datasets():
+        for beta in ORACLE_BETAS:
+            P = gibbs_associations(ds, Y, beta)
+            assert np.array_equal(P, oracle_gibbs_associations(ds, Y, beta))
+            if beta > 0:
+                assert free_energy(ds, Y, beta) == oracle_free_energy(ds, Y, beta)
+
+
+def test_posterior_covariance_and_hessian_are_bitwise_the_oracle():
+    rng = np.random.default_rng(12)
+    for ds, Y in oracle_datasets():
+        psi = rng.normal(size=Y.shape)
+        for beta in ORACLE_BETAS:
+            for j in range(Y.shape[0]):
+                try:
+                    want = oracle_posterior_covariance(ds, Y, beta, j)
+                except ValueError:
+                    with pytest.raises(ValueError, match="zero posterior mass"):
+                        posterior_covariance(ds, Y, beta, j)
+                    continue
+                assert np.array_equal(posterior_covariance(ds, Y, beta, j), want)
+            got = hessian_quadratic_form(ds, Y, beta, psi)
+            assert got == oracle_hessian_quadratic_form(ds, Y, beta, psi)
+
+
+def test_fixed_point_is_bitwise_the_oracle():
+    for ds, Y in oracle_datasets():
+        for beta in (1e-3, 1.0):
+            got = da_fixed_point(ds, Y, beta, tol=1e-9, max_iter=50, accept=np.inf)
+            assert np.array_equal(got, oracle_da_fixed_point(ds, Y, beta, 1e-9, 50, np.inf))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_anneal_is_bitwise_the_oracle(weighted):
+    ds = gen_two_disks(1.0, 4.0, 60, seed=5)
+    if weighted:
+        w = np.random.default_rng(5).uniform(0.5, 1.5, size=ds.n)
+        ds = Dataset(ds.points, weights=w / w.sum())
+    betas = list(np.geomspace(0.05, 2.0, 25))
+    trace = anneal(ds, betas)
+    schedule, splits = oracle_anneal_schedule(ds, betas)
+    assert trace.schedule == schedule
+    assert trace.split_events == splits
+    assert max(kd for _, kd, _ in schedule) > 2

@@ -93,7 +93,7 @@ def test_kmeans_fills_every_cluster_on_duplicated_points():
 def test_kmeans_invariant_to_point_order():
     ds = blobs([(0, 0), (7, 7)], 0.5, 30, seed=6)
     perm = np.random.default_rng(1).permutation(ds.n)
-    permuted = Dataset(ds.points[perm], name="permuted")
+    permuted = Dataset(ds.points[perm])
     a = kmeans(ds, 2, restarts=6, seed=3)
     b = kmeans(permuted, 2, restarts=6, seed=3)
     assert same_partition(a.assignment[perm], b.assignment)

@@ -98,7 +98,6 @@ def test_load_csv_plain(tmp_path):
     ds = load_csv(p)
     assert ds.n == 3
     assert ds.d == 2
-    assert ds.name == "pts"
     assert ds.labels is None
     np.testing.assert_array_equal(ds.points, [[1, 2], [3, 4], [5, 6]])
 

@@ -44,6 +44,11 @@ def oracle_cases(n):
     w -= (w @ q) * q
     w /= np.linalg.norm(w)
     yield 5.0 * np.outer(q, q) + 6.0 * np.outer(w, w)
+    # the same, with a mass outside the first block above 5^2 by 2e-9 only
+    yield 5.0 * np.outer(q, q) + 5.000000005 * np.outer(w, w)
+    # the first block ends at -1 with less mass outside than 1; the top
+    # eigenvalue is the zero of the null space all the same
+    yield -np.outer(q, q) - 0.5 * np.outer(w, w)
     # doubly centered Gram block, as kernel mode builds them
     X = rng.normal(size=(n, 3))
     H = np.eye(n) - 1.0 / n
@@ -502,3 +507,99 @@ def test_top_eigenvalue_bounds(seed, n):
     assert lam >= M.diagonal().max() - 1e-8
     assert lam <= np.abs(M).sum(axis=1).max() + 1e-8
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
+
+
+def layouts(rng, n, d):
+    """The same kind of points C-ordered, Fortran-ordered and strided."""
+    X = rng.normal(size=(n, d)) * float(rng.uniform(0.1, 10.0))
+    yield X
+    yield np.asfortranarray(X)
+    yield rng.normal(size=(2 * n, 3 * d))[::2, ::3]
+
+
+def oracle_gaussian_kernel(X, sigma):
+    sq = (X * X).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    K = np.exp(-d2 / (2.0 * sigma * sigma))
+    K = (K + K.T) / 2.0
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (17, 2), (150, 4), (300, 30)])
+def test_gaussian_kernel_is_exactly_symmetric_and_bitwise_the_oracle(n, d):
+    # X @ X.T is syrk, one triangle copied, for C- and Fortran-ordered
+    # points, but gemm on copies for points strided in both axes, which
+    # are not exactly symmetric from about 300 points; the kernel is
+    rng = np.random.default_rng(n + d)
+    for X in layouts(rng, n, d):
+        K = gaussian_kernel(Dataset(X), 0.7)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(K, oracle_gaussian_kernel(X, 0.7))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (17, 2), (150, 4), (300, 30)])
+def test_scatter_matrix_is_exactly_symmetric_and_bitwise_the_oracle(n, d):
+    rng = np.random.default_rng(n * d)
+    for X in layouts(rng, n, d):
+        a = rng.integers(0, 2, size=n)
+        a[0] = 0
+        ds = Dataset(X)
+        for j in np.unique(a):
+            centroid = X[a == j].mean(axis=0)
+            S = scatter_matrix(ds, a, centroid, j)
+            D = X[a == j] - centroid
+            want = D.T @ D
+            assert np.array_equal(S, S.T)
+            assert np.array_equal(S, (want + want.T) / 2.0)
+
+
+def count_lanczos_steps(monkeypatch):
+    """Counts Lanczos steps: each one solves one tridiagonal projection."""
+    steps = [0]
+    top = linalg._tridiagonal_top
+
+    def counted(a, b):
+        steps[0] += 1
+        return top(a, b)
+
+    monkeypatch.setattr(linalg, "_tridiagonal_top", counted)
+    return steps
+
+
+def test_lanczos_stops_once_no_mass_outside_can_hold_a_larger_eigenvalue(monkeypatch):
+    # a rank-three doubly centered Gram block: the first Krylov block breaks
+    # down after four steps, and what is left is an exact null space
+    n = 450
+    X = np.random.default_rng(0).normal(size=(n, 3))
+    H = np.eye(n) - 1.0 / n
+    G = H @ (X @ X.T) @ H
+    M = (G + G.T) / 2.0
+    steps = count_lanczos_steps(monkeypatch)
+    lam, v = largest_eigenvalue(M)
+    ref = np.linalg.eigvalsh(M)[-1]
+    assert abs(lam - ref) <= 1e-12 * ref
+    assert steps[0] <= 10
+    assert np.linalg.norm(M @ v - lam * v) <= 1e-8 * np.abs(M).sum(axis=1).max()
+
+
+def test_lanczos_counts_the_couplings_of_a_block_in_its_mass(monkeypatch):
+    # the first block is T = [[3.5, 2.5], [2.5, 3.5]], eigenvalues 6 and 1,
+    # with mass 3.5^2 + 3.5^2 + 2 * 2.5^2 = 37; the 5.9 outside it has a
+    # square of 34.81 < 36, so the iteration ends after those two steps
+    n = 70
+    rng = np.random.default_rng(3)
+    q = linalg._start_vector(n)
+    r, w = rng.normal(size=(2, n))
+    r -= (r @ q) * q
+    r /= np.linalg.norm(r)
+    w -= (w @ q) * q + (w @ r) * r
+    w /= np.linalg.norm(w)
+    u1, u2 = (q + r) / np.sqrt(2.0), (q - r) / np.sqrt(2.0)
+    M = 6.0 * np.outer(u1, u1) + np.outer(u2, u2) + 5.9 * np.outer(w, w)
+    M = (M + M.T) / 2.0
+    steps = count_lanczos_steps(monkeypatch)
+    lam, _ = largest_eigenvalue(M)
+    assert abs(lam - 6.0) <= 1e-12 * 6.0
+    assert steps[0] == 2

@@ -118,7 +118,7 @@ def test_k_t_is_smallest_argmax():
 def test_profile_scale_invariance(c, tmp_path):
     ds = blobs([(0, 0), (5, 5), (-4, 6)], 0.5, 40, seed=7)
     base = persistence_profile(ds, k_max=6, restarts=5, seed=3, keep_solutions=True)
-    scaled_ds = Dataset(c * ds.points, name="scaled")
+    scaled_ds = Dataset(c * ds.points)
     scaled = persistence_profile(
         scaled_ds, k_max=6, restarts=5, seed=3, keep_solutions=True
     )
@@ -135,7 +135,7 @@ def test_profile_scale_invariance(c, tmp_path):
 
 def test_profile_translation_invariance():
     ds = blobs([(0, 0), (6, 1)], 0.4, 35, seed=9)
-    shifted = Dataset(ds.points + np.array([100.0, -40.0]), name="shifted")
+    shifted = Dataset(ds.points + np.array([100.0, -40.0]))
     a = persistence_profile(ds, k_max=4, restarts=5, seed=1)
     b = persistence_profile(shifted, k_max=4, restarts=5, seed=1)
     assert b.k_t == a.k_t
