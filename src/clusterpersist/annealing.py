@@ -6,11 +6,17 @@ phase transition, and an annealing sweep that detects splits empirically,
 one posterior evaluation per step. The persistence estimator never calls
 this module; it verifies that the predicted critical resolution
 1/(2 lambda_max(C)) matches where splits actually happen.
+
+The logits are one C-contiguous (k, N) array built on Dataset.sq_norms, so
+the max and the softmax sums reduce over k rows, in numpy's order for a row
+of k values: the results are bitwise those of the (N, k) formulas. Bad input
+raises ValueError before any work, by scalar and shape checks only.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,28 +61,69 @@ class AnnealTrace:
         return None
 
 
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longer rows are summed by halves
+
+
+def _row_order_sum(T: np.ndarray) -> np.ndarray:
+    """T.sum(axis=0), added in the order numpy sums a contiguous row of k
+    values, so it is bitwise np.ascontiguousarray(T.T).sum(axis=1).
+
+    Below 8 values numpy adds left to right; up to 128 it keeps eight running
+    sums, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the
+    leftover values; above 128 it halves, rounds the first half down to a
+    multiple of 8 and recurses. The + 0.0 is numpy's additive identity: it
+    turns a -0.0 leaf into +0.0, as numpy's result is never -0.0.
+    """
+    k = T.shape[0]
+    if k > _PAIRWISE_BLOCK:
+        h = k // 2
+        h -= h % 8
+        return _row_order_sum(T[:h]) + _row_order_sum(T[h:])
+    if k < 8:
+        s, tail = T[0] + 0.0, 1
+    else:
+        tail = k - k % 8
+        r = T[:8] + 0.0
+        for i in range(8, tail, 8):
+            r += T[i : i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in T[tail:]:
+        s += row
+    return s
+
+
 def _shifted_logits(data: Dataset, centroids: np.ndarray, beta: float):
-    """a - m and m, where a = -beta ||x_i - y_j||^2 and m is the row max of a."""
-    X = data.points
-    a = -beta * _sq_distances(X, (X * X).sum(axis=1), np.atleast_2d(centroids))
-    m = a.max(axis=1, keepdims=True)
-    return a - m, m
+    """aT - m and m, where aT[j, i] = -beta ||x_i - y_j||^2 is one C-contiguous
+    (k, N) array and m[i] is the max over j (exact in any order). numpy
+    reduces over k rows of N values far faster than along N rows of k."""
+    Y = np.atleast_2d(centroids)
+    if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != data.d:
+        raise ValueError(f"centroids must be a nonempty (k, {data.d}) array")
+    d2 = _sq_distances(data.points, data.sq_norms, Y)
+    aT = np.multiply(-beta, d2.T, order="C")
+    m = aT.max(axis=0)
+    aT -= m
+    return aT, m
 
 
 def gibbs_associations(data: Dataset, centroids: np.ndarray, beta: float) -> np.ndarray:
-    """Row-stochastic p(j|i) = softmax_j(-beta ||x_i - y_j||^2), overflow-safe."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    e = np.exp(_shifted_logits(data, centroids, beta)[0])
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-stochastic p(j|i) = softmax_j(-beta ||x_i - y_j||^2), overflow-safe,
+    as a C-contiguous (N, k) array."""
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
+    eT = _shifted_logits(data, centroids, beta)[0]
+    np.exp(eT, out=eT)
+    eT /= _row_order_sum(eT)
+    return np.ascontiguousarray(eT.T)
 
 
 def free_energy(data: Dataset, centroids: np.ndarray, beta: float) -> float:
     """F = -(1/beta) sum_i p_i log sum_j exp(-beta ||x_i - y_j||^2)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    shifted, m = _shifted_logits(data, centroids, beta)
-    lse = m[:, 0] + np.log(np.exp(shifted).sum(axis=1))
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+    eT, m = _shifted_logits(data, centroids, beta)
+    np.exp(eT, out=eT)
+    lse = m + np.log(_row_order_sum(eT))
     return float(-(data.weights @ lse) / beta)
 
 
@@ -96,8 +143,10 @@ def da_fixed_point(
     positions resolved to a coarser scale can pass accept: a final movement
     at or below it is returned instead of raising.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     X, w = data.points, data.weights
     Y = np.atleast_2d(np.asarray(centroids_init, dtype=float)).copy()
     for _ in range(max_iter):
@@ -143,6 +192,8 @@ def hessian_quadratic_form(
     X, w = data.points, data.weights
     Y = np.atleast_2d(centroids)
     psi = np.atleast_2d(psi)
+    if psi.shape != Y.shape:
+        raise ValueError("psi must have the shape of the centroids")
     P = gibbs_associations(data, Y, beta)
     total = 0.0
     for j in range(Y.shape[0]):
@@ -192,6 +243,8 @@ def anneal(
     (beta, group index) is recorded. Deterministic: no random draws are made.
     """
     betas = [float(b) for b in beta_schedule]
+    if not all(math.isfinite(b) for b in betas):
+        raise ValueError("beta schedule must be finite")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])) or not betas:
         raise ValueError("beta schedule must be strictly increasing and nonempty")
     if betas[0] <= 0:

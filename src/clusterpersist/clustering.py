@@ -199,7 +199,7 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
         raise ValueError("restarts must be at least 1")
     _check_uniform_weights(data)
     X = data.points
-    x2 = (X * X).sum(axis=1)
+    x2 = data.sq_norms
     XT = _scoring_copy(X)
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):

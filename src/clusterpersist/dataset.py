@@ -40,11 +40,17 @@ class Dataset:
     the weights; the persistence estimator and kmeans take no weights and
     refuse non-uniform ones. Instances are treated as immutable; the arrays
     are marked read-only.
+
+    sq_norms, derived and not an init argument, holds the squared norms
+    (points * points).sum(axis=1), computed once here for k-means, the
+    annealing toolkit and the Gaussian kernel; it is read-only and left out
+    of repr and ==.
     """
 
     points: np.ndarray
     weights: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -69,11 +75,14 @@ class Dataset:
             if lab.shape != (n,):
                 raise ValueError("labels length does not match points")
             lab.setflags(write=False)
+        sq = (pts * pts).sum(axis=1)
         pts.setflags(write=False)
         w.setflags(write=False)
+        sq.setflags(write=False)
         self.points = pts
         self.weights = w
         self.labels = lab
+        self.sq_norms = sq
 
     @property
     def n(self) -> int:

@@ -347,7 +347,7 @@ def gaussian_kernel(data: Dataset, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     X = data.points
-    d2 = _sq_distances(X, (X * X).sum(axis=1), X)
+    d2 = _sq_distances(X, data.sq_norms, X)
     K = np.exp(-d2 / (2.0 * sigma * sigma))
     K = (K + K.T) / 2.0  # X @ X.T is gemm, not symmetric, for doubly strided X
     np.fill_diagonal(K, 1.0)

@@ -410,8 +410,11 @@ def oracle_anneal_schedule(data, betas, scale=1e-6):
 
 def oracle_datasets():
     """A weighted and a uniform dataset, each with centroid sets of one to
-    five rows, coincident rows and one far from every point included."""
+    five rows, coincident rows and one far from every point included, and
+    sets of 8, 9, 17 and 129 rows, which numpy sums with eight running sums
+    and, above 128, by halves."""
     rng = np.random.default_rng(11)
+    wide = np.random.default_rng(13)
     uniform = blobs([(0, 0), (4, 1), (1, 5)], 0.7, 20, seed=3)
     w = rng.uniform(0.1, 2.0, size=60)
     weighted = Dataset(uniform.points, weights=w / w.sum())
@@ -424,6 +427,11 @@ def oracle_datasets():
                 Yc[1] = Yc[0]
                 yield ds, Yc
         yield ds, np.array([[0.5, 0.5], [0.5, 0.5], [40.0, -30.0]])
+        for m in (8, 9, 17, 129):
+            Y = ds.points[wide.choice(ds.n, size=m)] + wide.normal(size=(m, 2))
+            Y[1] = Y[0]
+            Y[-1] = (40.0, -30.0)
+            yield ds, Y
 
 
 ORACLE_BETAS = (0.0, 1e-3, 1.0, 1e3)
@@ -433,6 +441,7 @@ def test_associations_and_free_energy_are_bitwise_the_oracle():
     for ds, Y in oracle_datasets():
         for beta in ORACLE_BETAS:
             P = gibbs_associations(ds, Y, beta)
+            assert P.flags.c_contiguous
             assert np.array_equal(P, oracle_gibbs_associations(ds, Y, beta))
             if beta > 0:
                 assert free_energy(ds, Y, beta) == oracle_free_energy(ds, Y, beta)
@@ -474,3 +483,83 @@ def test_anneal_is_bitwise_the_oracle(weighted):
     assert trace.schedule == schedule
     assert trace.split_events == splits
     assert max(kd for _, kd, _ in schedule) > 2
+
+
+def row_order_input(k, n, seed):
+    """k x n values spread over many binades, a column of -0.0 and, from two
+    rows on, an overflowing pair and an infinity."""
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((k, n)) * np.exp(rng.uniform(-30.0, 30.0, size=(k, n)))
+    T[:, 0] = -0.0
+    if k >= 2:
+        T[:2, 1] = 1e308
+        T[-1, 2] = -np.inf
+    return T
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_row_order_sum_is_bitwise_numpys_row_sum():
+    for k in range(1, 301):
+        T = row_order_input(k, 19, seed=k)
+        want = np.ascontiguousarray(T.T).sum(axis=1)
+        assert annealing._row_order_sum(T).tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 256, 257])
+def test_row_order_sum_of_softmax_terms_at_the_block_boundaries(k):
+    # exp'd shifted logits over 1000 points, as gibbs_associations sums them
+    E = np.exp(-np.abs(np.random.default_rng(k).normal(size=(k, 1000))))
+    want = np.ascontiguousarray(E.T).sum(axis=1)
+    assert annealing._row_order_sum(E).tobytes() == want.tobytes()
+
+
+def test_fixed_point_rejects_zero_iterations_before_any_work(monkeypatch):
+    ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)
+    calls = []
+    monkeypatch.setattr(annealing, "gibbs_associations", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        da_fixed_point(ds, np.zeros((2, 2)), 1.0, max_iter=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf])
+def test_nonfinite_beta_is_rejected(beta):
+    ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)
+    Y = np.array([[1.0, 1.0], [2.0, -1.0]])
+    with pytest.raises(ValueError, match="beta must be nonnegative and finite"):
+        gibbs_associations(ds, Y, beta)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        free_energy(ds, Y, beta)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        da_fixed_point(ds, Y, beta)
+
+
+@pytest.mark.parametrize("bad", [[0.1, np.nan, 0.5], [np.nan], [0.1, np.inf]])
+def test_anneal_rejects_nonfinite_schedule_before_any_work(monkeypatch, bad):
+    ds = blobs([(0, 0), (5, 0)], 0.5, 10, seed=0)
+    calls = []
+    monkeypatch.setattr(annealing, "gibbs_associations", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="beta schedule must be finite"):
+        anneal(ds, bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("Y", [np.zeros((2, 3)), np.zeros((0, 2)), np.zeros((2, 2, 1))])
+def test_centroids_of_the_wrong_shape_are_rejected(Y):
+    ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)
+    msg = r"centroids must be a nonempty \(k, 2\) array"
+    with pytest.raises(ValueError, match=msg):
+        gibbs_associations(ds, Y, 1.0)
+    with pytest.raises(ValueError, match=msg):
+        free_energy(ds, Y, 1.0)
+    with pytest.raises(ValueError, match=msg):
+        da_fixed_point(ds, Y, 1.0)
+    with pytest.raises(ValueError, match=msg):
+        posterior_covariance(ds, Y, 1.0, 0)
+
+
+def test_hessian_rejects_psi_of_another_shape():
+    ds = blobs([(0, 0), (4, 0)], 0.5, 20, seed=1)
+    Y = np.array([[0.0, 0.0], [4.0, 0.0]])
+    with pytest.raises(ValueError, match="psi must have the shape of the centroids"):
+        hessian_quadratic_form(ds, Y, 1.0, np.zeros((3, 2)))

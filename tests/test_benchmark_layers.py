@@ -5,12 +5,24 @@ perfbench/workloads.py lists, per workload, the spans "<layer>.<function>"
 and the tracer wraps only public functions defined in a layer module. A
 renamed, moved or privatized function would leave its span empty; this test
 catches that without running the benchmark. The file is read, not imported.
+
+The tracer also counts fixed-point iterations as the gibbs_associations
+spans directly under da_fixed_point, so that call structure is pinned here
+too, with the per-dataset squared norms the hot path reads.
 """
 
 import ast
+import copy
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import clusterpersist.annealing as annealing
+from clusterpersist import Dataset, gaussian_kernel, kmeans
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -38,3 +50,80 @@ def test_every_stressed_span_is_a_public_layer_function():
         assert not name.startswith("_"), (workload, span)
         assert inspect.isfunction(fn), (workload, span)
         assert fn.__module__ == module.__name__, (workload, span)
+
+
+def counting_gibbs(monkeypatch):
+    """Wrap annealing.gibbs_associations, as the tracer does; returns the
+    list of calls."""
+    calls = []
+    inner = annealing.gibbs_associations
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(annealing, "gibbs_associations", wrapper)
+    return calls
+
+
+def small_case():
+    rng = np.random.default_rng(2)
+    X = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 5.0])
+    return Dataset(X), np.array([[1.0, 1.0], [3.0, 4.0], [2.0, 2.5]])
+
+
+def test_fixed_point_calls_the_public_posterior_once_per_iteration(monkeypatch):
+    ds, Y = small_case()
+    calls = counting_gibbs(monkeypatch)
+    # tol 0 never converges, so exactly max_iter iterations run
+    annealing.da_fixed_point(ds, Y, 0.5, tol=0.0, max_iter=7, accept=np.inf)
+    assert len(calls) == 7
+    # a converging run: its iteration count is the smallest cap it meets
+    iterations = next(n for n in range(1, 500) if _converges(ds, Y, n))
+    calls.clear()
+    annealing.da_fixed_point(ds, Y, 0.5, tol=1e-9, max_iter=500)
+    assert iterations > 2
+    assert len(calls) == iterations
+
+
+def _converges(ds, Y, cap):
+    try:
+        annealing.da_fixed_point(ds, Y, 0.5, tol=1e-9, max_iter=cap)
+    except RuntimeError:
+        return False
+    return True
+
+
+def test_squared_norms_are_a_read_only_derived_attribute():
+    X = np.random.default_rng(3).normal(size=(30, 9))[::2, ::1]
+    ds = Dataset(X)
+    assert ds.sq_norms.tobytes() == (X * X).sum(axis=1).tobytes()
+    assert not ds.sq_norms.flags.writeable
+    with pytest.raises(ValueError):
+        ds.sq_norms[0] = 1.0
+    field = {f.name: f for f in dataclasses.fields(Dataset)}["sq_norms"]
+    assert (field.init, field.repr, field.compare) == (False, False, False)
+    assert "sq_norms" not in repr(ds)
+    with pytest.raises(TypeError):
+        Dataset(X, sq_norms=np.zeros(15))
+    other = copy.copy(ds)
+    other.sq_norms = np.zeros(15)
+    assert ds == other
+
+
+def test_hot_paths_read_the_stored_norms():
+    # one more unit on every stored squared norm adds 1 to every distance:
+    # the free energy and the k-means distortion rise by 1, the kernel shrinks
+    rng = np.random.default_rng(4)
+    centers = np.repeat([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0], [0.0, 9.0, 0.0]], 14, axis=0)
+    ds = Dataset(centers + rng.normal(size=centers.shape))
+    shifted = copy.copy(ds)
+    shifted.sq_norms = ds.sq_norms + 1.0
+    Y = ds.points[::14]
+    got = annealing.free_energy(shifted, Y, 0.7) - annealing.free_energy(ds, Y, 0.7)
+    assert got == pytest.approx(1.0, rel=1e-12)
+    got = kmeans(shifted, 3, restarts=2).distortion - kmeans(ds, 3, restarts=2).distortion
+    assert got == pytest.approx(1.0, rel=1e-12)
+    off = ~np.eye(ds.n, dtype=bool)
+    ratio = gaussian_kernel(shifted, 2.0)[off] / gaussian_kernel(ds, 2.0)[off]
+    assert np.allclose(ratio, np.exp(-0.5 / 4.0), rtol=1e-12)

@@ -24,6 +24,8 @@ from clusterpersist import (
     normalize_zscore,
     persistence_profile,
     scatter_matrix,
+    spectral_basis,
+    spectral_cluster,
 )
 from helpers import DATA_DIR, blobs, same_partition, sym, weighted_95_5
 
@@ -195,6 +197,34 @@ def test_rings_kernel_profile_direction():
     assert all(np.isfinite(b) and b > 0 for b in bs)
     assert all(b2 >= b1 * (1.0 - 1e-9) for b1, b2 in zip(bs, bs[1:]))
     assert prof.k_t == 3
+
+
+def test_rings_at_two_clusters_tie_between_two_groupings():
+    """At sigma=0.01 the three rings are disconnected in K, the Laplacian has
+    a threefold null space, and the two-column embedding cannot tell which
+    ring the outer one belongs with. Both groupings (outer ring with the
+    inner, or with the middle) have exactly the same embedding distortion, so
+    the restart order decides, and beta_bar(2) takes one of two values. This
+    records the finding; it does not choose a rule for k below the number of
+    connected components."""
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
+    K = gaussian_kernel(ds, 0.01)
+    basis = spectral_basis(K, 6)
+    rings = np.repeat([0, 1, 2], 450)
+    distortions, betas = set(), {}
+    for seed in range(4):
+        sol = spectral_cluster(K, 2, restarts=8, seed=seed, basis=basis)
+        outer = sol.assignment[900]
+        partner = 0 if sol.assignment[0] == outer else 1
+        assert same_partition(sol.assignment, np.where(rings == 2, partner, rings))
+        distortions.add(sol.distortion)
+        betas.setdefault(partner, set()).add(critical_beta_kernel(sol, K).beta)
+    assert len(distortions) == 1
+    assert sorted(betas) == [0, 1]
+    assert all(len(b) == 1 for b in betas.values())
+    (with_inner,), (with_middle,) = betas[0], betas[1]
+    assert with_inner == pytest.approx(0.12767, abs=5e-6)
+    assert with_middle == pytest.approx(0.12782, abs=5e-6)
 
 
 def test_profile_csv_layout():
