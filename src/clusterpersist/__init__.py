@@ -40,7 +40,6 @@ from .persistence import (
     PersistenceProfile,
     critical_beta,
     critical_beta_kernel,
-    estimate_k,
     persistence_profile,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "critical_beta",
     "critical_beta_kernel",
     "da_fixed_point",
-    "estimate_k",
     "free_energy",
     "gaussian_kernel",
     "gen_gaussian_mixture",

@@ -47,18 +47,14 @@ class AnnealTrace:
     schedule: List[Tuple[float, int, float]] = field(default_factory=list)
     split_events: List[Tuple[float, int]] = field(default_factory=list)
 
-    def to_csv(self, path=None) -> Optional[str]:
+    def to_csv(self) -> str:
+        """Rows beta, k_distinct, free_energy, one per schedule step."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["beta", "k_distinct", "free_energy"])
         for beta, kd, fe in self.schedule:
             writer.writerow([repr(beta), kd, repr(fe)])
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
 
 _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longer rows are summed by halves
@@ -241,6 +237,8 @@ def anneal(
     covariance top eigenvector. Below the group's critical beta the pair
     collapses back together; above it the pair separates and a split event
     (beta, group index) is recorded. Deterministic: no random draws are made.
+    An offset that is not positive and finite raises ValueError before the
+    first fixed point.
     """
     betas = [float(b) for b in beta_schedule]
     if not all(math.isfinite(b) for b in betas):
@@ -254,6 +252,8 @@ def anneal(
     if diam == 0:
         raise ValueError("degenerate dataset: zero diameter")
     offset = split_perturbation_scale * diam
+    if not 0.0 < offset < math.inf:
+        raise ValueError("split_perturbation_scale x diameter must be positive and finite")
     thresh = _DISTINCT_FRAC * diam
     centers = np.average(X, axis=0, weights=w)[None, :]
     trace = AnnealTrace()

@@ -35,7 +35,7 @@ from .dataset import (
     load_csv,
     normalize_zscore,
 )
-from .linalg import largest_eigenvalue
+from .linalg import _kernel_denominator, largest_eigenvalue
 from .persistence import persistence_profile
 
 _GENERATORS = ("two-disks", "rings", "spirals", "gaussians4", "superclusters")
@@ -170,8 +170,10 @@ def _validate_profile_args(parser: argparse.ArgumentParser, args) -> None:
     if args.mode == "kernel":
         if args.sigma is None:
             parser.error("--sigma is required with --mode kernel")
-        if args.sigma <= 0:
-            parser.error("--sigma must be positive")
+        try:
+            _kernel_denominator(args.sigma)
+        except ValueError as e:
+            parser.error(f"--{e}")
 
 
 def _profile_from_args(args):
@@ -276,7 +278,7 @@ def _cmd_da_trace(parser, args) -> int:
     schedule = _geometric_schedule(beta_min, beta_max, args.ratio)
     trace = anneal(data, schedule, split_perturbation_scale=args.scale)
     if args.output is not None:
-        trace.to_csv(args.output)
+        _write_text(trace.to_csv(), args.output)
     print(f"predicted critical beta = {predicted!r}")
     if not trace.split_events:
         print("no split observed; raise --beta-max")

@@ -38,8 +38,10 @@ class Dataset:
     points is an (N, d) float array, weights a length-N nonnegative vector
     summing to 1 (uniform 1/N when not given). The annealing toolkit uses
     the weights; the persistence estimator and kmeans take no weights and
-    refuse non-uniform ones. Instances are treated as immutable; the arrays
-    are marked read-only.
+    refuse non-uniform ones. Instances are treated as immutable: the arrays
+    are private read-only copies, so the caller's arrays stay writable and a
+    later write to them cannot reach the dataset. points keeps the C or
+    Fortran order of its input and is always contiguous.
 
     sq_norms, derived and not an init argument, holds the squared norms
     (points * points).sum(axis=1), computed once here for k-means, the
@@ -53,7 +55,7 @@ class Dataset:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("empty dataset")
         if not np.all(np.isfinite(pts)):
@@ -62,7 +64,7 @@ class Dataset:
         if self.weights is None:
             w = np.full(n, 1.0 / n)
         else:
-            w = np.asarray(self.weights, dtype=float)
+            w = np.array(self.weights, dtype=float)
             if w.shape != (n,):
                 raise ValueError("weights length does not match points")
             if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -71,7 +73,7 @@ class Dataset:
                 raise ValueError("weights must sum to 1")
         lab = self.labels
         if lab is not None:
-            lab = np.asarray(lab, dtype=int)
+            lab = np.array(lab, dtype=int)
             if lab.shape != (n,):
                 raise ValueError("labels length does not match points")
             lab.setflags(write=False)
@@ -101,8 +103,6 @@ def normalize_zscore(data: Dataset) -> Dataset:
     through unchanged. Idempotent within 1e-9.
     """
     X = data.points
-    if X.size == 0:
-        raise ValueError("empty dataset")
     mu = X.mean(axis=0)
     sd = X.std(axis=0)  # population convention: divide by N
     out = X - mu

@@ -13,7 +13,7 @@ Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
   iteration; the result is the Rayleigh quotient of the Ritz vector,
   certified by its explicit residual. After a Krylov block breaks down, the
   iteration restarts only while the Frobenius mass outside the blocks found
-  could still hold a larger eigenvalue.
+  could still hold a larger eigenvalue and is more than rounding.
 
 numpy.linalg.eigh is deliberately not used here; it serves only as an
 independent oracle in the test suite and inside the spectral embedding.
@@ -229,10 +229,13 @@ def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
     the breakdown beta, only shrink the true mass outside. Otherwise it goes
     on from the coordinate vector farthest from the basis, made orthogonal
     to it, and convergence is tested only on the block begun at the last
-    restart. The block with the largest theta (the first on ties)
-    gives the Ritz vector v; the result is the Rayleigh quotient v^T M v,
-    which cannot exceed lambda_max beyond rounding, certified by its
-    explicit residual.
+    restart. But when the mass outside is within the margin itself, M
+    vanishes outside the blocks to rounding: that vector joins them as a
+    block of theta 0, and the iteration ends instead of restarting once per
+    dimension of a null space. The block with the largest theta (the first
+    on ties) gives the Ritz vector v; the result is the Rayleigh quotient
+    v^T M v, which cannot exceed lambda_max beyond rounding, certified by
+    its explicit residual.
     """
     n = M.shape[0]
     norm = float(np.abs(M).sum(axis=1).max())  # infinity norm, >= ||M||_2
@@ -266,6 +269,12 @@ def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
             w[int(np.argmax(spare))] = 1.0
             q = _orthogonalize(w, Q[: m + 1])
             q /= _norm(q)
+            if outside <= margin:
+                # M vanishes outside the blocks, to rounding: the complement,
+                # for which q stands, joins them with its eigenvalue 0
+                Q[m + 1] = q
+                blocks.append((0.0, [1.0], m + 1))
+                break
             first, a, b = m + 1, [], [0.0]
         elif beta * abs(s[-1]) <= stop:
             blocks.append((theta, s, first))
@@ -332,8 +341,6 @@ def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndar
     A_kl = K_kl - rowmean_k - rowmean_l + blockmean over cluster members.
     """
     members = np.asarray(cluster_members)
-    if members.dtype == bool:
-        members = np.flatnonzero(members)
     if members.size == 0:
         raise ValueError("empty cluster")
     B = K[np.ix_(members, members)]
@@ -342,13 +349,24 @@ def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndar
     return (A + A.T) / 2.0
 
 
+def _kernel_denominator(sigma: float) -> float:
+    """2 sigma^2; ValueError unless sigma > 0 (so not NaN) and 2 sigma^2
+    neither overflows to inf nor underflows to 0."""
+    two_s2 = 2.0 * sigma * sigma
+    if not (sigma > 0.0 and 0.0 < two_s2 < math.inf):
+        raise ValueError(f"sigma must be positive with 2 sigma^2 finite and nonzero, got {sigma!r}")
+    return two_s2
+
+
 def gaussian_kernel(data: Dataset, sigma: float) -> np.ndarray:
-    """Dense Gaussian similarity matrix exp(-||xi-xj||^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    """Dense Gaussian similarity matrix exp(-||xi-xj||^2 / (2 sigma^2)).
+
+    Exactly symmetric as computed: Dataset points are contiguous, so numpy
+    computes X @ X.T with BLAS syrk, one triangle copied.
+    """
+    two_s2 = _kernel_denominator(sigma)
     X = data.points
     d2 = _sq_distances(X, data.sq_norms, X)
-    K = np.exp(-d2 / (2.0 * sigma * sigma))
-    K = (K + K.T) / 2.0  # X @ X.T is gemm, not symmetric, for doubly strided X
+    K = np.exp(-d2 / two_s2)
     np.fill_diagonal(K, 1.0)
     return K

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from .clustering import (
     spectral_cluster,
 )
 from .dataset import Dataset
+from .linalg import _kernel_denominator
 from .linalg import gaussian_kernel, kernel_scatter_matrix, largest_eigenvalue, scatter_matrix
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "critical_beta",
     "critical_beta_kernel",
     "persistence_profile",
-    "estimate_k",
 ]
 
 
@@ -216,8 +215,8 @@ class PersistenceProfile:
     critical_cluster: Dict[int, int] = field(default_factory=dict)
     per_k_solutions: Optional[Dict[int, ClusteringSolution]] = None
 
-    def to_csv(self, path=None) -> Optional[str]:
-        """Write rows k, beta_bar, log_beta_bar, v (v blank on the first row)."""
+    def to_csv(self) -> str:
+        """Rows k, beta_bar, log_beta_bar, v (v blank on the first row)."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["k", "beta_bar", "log_beta_bar", "v"])
@@ -225,12 +224,7 @@ class PersistenceProfile:
             b = self.beta_bar[k]
             vk = self.v.get(k)
             writer.writerow([k, repr(b), repr(math.log(b)), "" if vk is None else repr(vk)])
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,14 +235,6 @@ class PersistenceProfile:
             "v": {str(k): v for k, v in sorted(self.v.items())},
             "critical_cluster": {str(k): v for k, v in sorted(self.critical_cluster.items())},
         }
-
-    def to_json(self, path=None) -> Optional[str]:
-        text = json.dumps(self.to_json_dict(), indent=2)
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
 
 
 def persistence_profile(
@@ -278,7 +264,8 @@ def persistence_profile(
     known at its k is not solved. The output is the same as clustering and
     solving every k, and every block, from scratch.
     Kernel mode raises ValueError before building the N x N matrices when
-    they would not fit in physical memory.
+    2 sigma^2 is not positive and finite, or when they would not fit in
+    physical memory.
 
     The estimator takes no point weights: data with non-uniform weights
     raises ValueError, as do restarts < 1 and the other bad arguments,
@@ -299,6 +286,7 @@ def persistence_profile(
     if mode == "kernel":
         if sigma is None or sigma <= 0:
             raise ValueError("kernel mode requires a positive sigma")
+        _kernel_denominator(sigma)
         _check_kernel_memory(data.n)
         K = gaussian_kernel(data, sigma)
         basis = spectral_basis(K, k_max)
@@ -340,17 +328,3 @@ def persistence_profile(
         critical_cluster=crit,
         per_k_solutions=sols if keep_solutions else None,
     )
-
-
-def estimate_k(
-    data: Dataset,
-    k_max: int,
-    mode: str = "linear",
-    restarts: int = 10,
-    seed: int = 0,
-    sigma: Optional[float] = None,
-) -> int:
-    """Convenience wrapper returning only the estimated cluster count."""
-    return persistence_profile(
-        data, k_max, mode=mode, restarts=restarts, seed=seed, sigma=sigma
-    ).k_t

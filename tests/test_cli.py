@@ -14,7 +14,7 @@ except ModuleNotFoundError:  # Python 3.10
 import numpy as np
 import pytest
 
-from clusterpersist import cli
+from clusterpersist import anneal, cli
 from clusterpersist.cli import main
 from helpers import DATA_DIR
 
@@ -80,6 +80,10 @@ def test_kernel_mode_requires_sigma(capsys):
         (["--restarts", "0"], "--restarts"),
         (["--mode", "kernel", "--sigma", "0"], "--sigma"),
         (["--mode", "kernel", "--sigma", "-0.5"], "--sigma"),
+        (["--mode", "kernel", "--sigma", "nan"], "--sigma"),
+        (["--mode", "kernel", "--sigma", "inf"], "--sigma"),
+        (["--mode", "kernel", "--sigma", "1e200"], "--sigma"),
+        (["--mode", "kernel", "--sigma", "1e-200"], "--sigma"),
     ],
 )
 def test_bad_sweep_arguments_are_usage_errors(extra, flag, capsys):
@@ -188,6 +192,18 @@ def test_profile_json_document(capsys):
     assert set(doc["profile"]["beta_bar"]) == {"1", "2", "3", "4"}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_output_file_holds_the_stdout_bytes(fmt, capsys, tmp_path):
+    out_path = tmp_path / f"profile.{fmt}"
+    argv = ["profile", "--gen", "two-disks", "--n", "300", "--k-max", "4", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, quiet, _ = run_cli(argv + ["--output", str(out_path)], capsys)
+    assert code == 0
+    assert quiet == ""
+    assert out_path.read_bytes() == out.encode()
+
+
 def test_profile_json_normalize_defaults_on_for_files(capsys):
     code, out, _ = run_cli(
         ["profile", "--input", str(DATA_DIR / "iris.csv"), "--label-col", "4",
@@ -231,6 +247,31 @@ def test_da_trace_gaussians(capsys, tmp_path):
     code2, again, _ = run_cli(argv, capsys)
     assert code2 == 0
     assert again == out
+
+
+def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append((args, kwargs))
+        return anneal(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "anneal", recorded)
+    out_path = tmp_path / "trace.csv"
+    code, _, _ = run_cli(
+        ["da-trace", "--gen", "two-disks", "--n", "100", "--output", str(out_path)], capsys
+    )
+    assert code == 0
+    (args, kwargs), = runs
+    assert out_path.read_bytes() == anneal(*args, **kwargs).to_csv().encode()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_da_trace_rejects_an_unusable_scale(scale, capsys):
+    code, out, err = run_cli(["da-trace", "--gen", "two-disks", "--n", "50", "--scale", scale], capsys)
+    assert code == 1
+    assert "split_perturbation_scale" in err
+    assert "raise --beta-max" not in out
 
 
 def test_da_trace_without_split_reports_failure(capsys):

@@ -56,6 +56,24 @@ def test_dataset_arrays_are_read_only():
         ds.points[0, 0] = 5.0
 
 
+def test_dataset_copies_the_callers_arrays():
+    base = np.zeros((4, 3))
+    X = base[:, :2]
+    w = np.full(4, 0.25)
+    labels = np.arange(4)
+    ds = Dataset(X, weights=w, labels=labels)
+    for a in (base, X, w, labels):
+        assert a.flags.writeable
+    base[0, 0] = 3.0
+    w[0] = 0.5
+    labels[0] = 7
+    assert ds.points[0, 0] == 0.0
+    assert ds.sq_norms[0] == 0.0
+    assert ds.weights[0] == 0.25
+    assert ds.labels[0] == 0
+    assert not (ds.points.flags.writeable or ds.weights.flags.writeable or ds.labels.flags.writeable)
+
+
 def test_zscore_two_point_column():
     out = normalize_zscore(Dataset(np.array([[1.0], [3.0]])))
     np.testing.assert_allclose(out.points[:, 0], [-1.0, 1.0], atol=1e-15)

@@ -13,7 +13,6 @@ from clusterpersist import (
     PersistenceProfile,
     critical_beta,
     critical_beta_kernel,
-    estimate_k,
     gaussian_kernel,
     gen_rings,
     gen_two_disks,
@@ -245,27 +244,17 @@ def test_profile_csv_layout():
         float(cells[3])
 
 
-def test_profile_csv_file_round_trip(tmp_path):
+def test_profile_json_round_trip():
     ds = blobs([(0, 0), (5, 5)], 0.4, 25, seed=1)
     prof = persistence_profile(ds, k_max=4, restarts=3, seed=0)
-    p = tmp_path / "profile.csv"
-    assert prof.to_csv(p) is None
-    assert p.read_text() == prof.to_csv()
-
-
-def test_profile_json_round_trip(tmp_path):
-    ds = blobs([(0, 0), (5, 5)], 0.4, 25, seed=1)
-    prof = persistence_profile(ds, k_max=4, restarts=3, seed=0)
-    doc = json.loads(prof.to_json())
+    doc = prof.to_json_dict()
+    assert json.loads(json.dumps(doc)) == doc
     assert set(doc) == {"k_min", "k_max", "k_t", "beta_bar", "v", "critical_cluster"}
     assert doc["k_t"] == prof.k_t
     assert doc["k_min"] == 1
     assert doc["k_max"] == 4
     assert doc["beta_bar"]["2"] == prof.beta_bar[2]
     assert doc["v"]["3"] == prof.v[3]
-    p = tmp_path / "profile.json"
-    prof.to_json(p)
-    assert json.loads(p.read_text()) == doc
 
 
 def test_profile_keep_solutions_flag():
@@ -275,13 +264,6 @@ def test_profile_keep_solutions_flag():
     assert kept.per_k_solutions[2].k == 2
     plain = persistence_profile(ds, k_max=3, restarts=3, seed=0)
     assert plain.per_k_solutions is None
-
-
-def test_estimate_k_matches_profile():
-    ds = blobs([(0, 0), (7, 0), (0, 7)], 0.4, 30, seed=2)
-    k = estimate_k(ds, 6, restarts=4, seed=5)
-    assert k == persistence_profile(ds, 6, restarts=4, seed=5).k_t
-    assert k == 3
 
 
 def unpruned_critical_beta(solution, build):
@@ -345,7 +327,7 @@ def test_kernel_sweep_matches_uncached_sweep_byte_for_byte(monkeypatch):
     blocks = counting_eigensolver(monkeypatch)
     prof = persistence_profile(ds, **args)
     assert prof.to_csv() == ref.to_csv()
-    assert prof.to_json() == ref.to_json()
+    assert prof.to_json_dict() == ref.to_json_dict()
     # one Laplacian eigendecomposition per sweep, each kernel block solved
     # at most once, and fewer distinct blocks solved than the unpruned sweep
     assert eighs == [(ds.n, ds.n)]
@@ -357,7 +339,7 @@ def test_linear_sweep_matches_uncached_sweep_byte_for_byte():
     ref = uncached_profile(ds, k_max=7, mode="linear", restarts=4, seed=2)
     prof = persistence_profile(ds, k_max=7, restarts=4, seed=2)
     assert prof.to_csv() == ref.to_csv()
-    assert prof.to_json() == ref.to_json()
+    assert prof.to_json_dict() == ref.to_json_dict()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -369,7 +351,7 @@ def test_table_sweep_matches_unpruned_sweep_byte_for_byte(monkeypatch, name, lab
     blocks = counting_eigensolver(monkeypatch)
     prof = persistence_profile(ds, k_max=10, restarts=8, seed=seed)
     assert prof.to_csv() == ref.to_csv()
-    assert prof.to_json() == ref.to_json()
+    assert prof.to_json_dict() == ref.to_json_dict()
     assert len(set(blocks)) == len(blocks) < len(set(ref_blocks))
 
 
@@ -383,7 +365,7 @@ def hand_built_sweep(monkeypatch, X, labels):
     solved = counting_eigensolver(monkeypatch)
     prof = persistence_profile(ds, k_max=len(labels))
     assert prof.to_csv() == ref.to_csv()
-    assert prof.to_json() == ref.to_json()
+    assert prof.to_json_dict() == ref.to_json_dict()
     return prof, solved
 
 
@@ -542,6 +524,7 @@ def test_bad_sweep_arguments_fail_before_any_work(monkeypatch):
         raise AssertionError("sweep started despite bad arguments")
 
     monkeypatch.setattr(persistence, "gaussian_kernel", no_work)
+    monkeypatch.setattr(persistence, "_check_kernel_memory", no_work)
     monkeypatch.setattr(persistence, "kmeans", no_work)
     ds = blobs([(0, 0), (5, 5)], 0.4, 15, seed=1)
     for mode, sigma in (("linear", None), ("kernel", 1.0)):
@@ -549,5 +532,7 @@ def test_bad_sweep_arguments_fail_before_any_work(monkeypatch):
             persistence_profile(ds, k_max=3, mode=mode, sigma=sigma, restarts=0)
         with pytest.raises(ValueError, match="non-uniform point weights"):
             persistence_profile(weighted_95_5(), k_max=3, mode=mode, sigma=sigma)
-    with pytest.raises(ValueError, match="non-uniform point weights"):
-        estimate_k(weighted_95_5(), 3)
+    # 2 sigma^2 is NaN, inf, inf and 0
+    for sigma in (math.nan, math.inf, 1e200, 1e-200):
+        with pytest.raises(ValueError, match="2 sigma\\^2 finite and nonzero"):
+            persistence_profile(ds, k_max=3, mode="kernel", sigma=sigma)
