@@ -7,6 +7,9 @@ one posterior evaluation per step. The persistence estimator never calls
 this module; it verifies that the predicted critical resolution
 1/(2 lambda_max(C)) matches where splits actually happen.
 
+Every point carries the mass p_i = 1/N, read from Dataset.weights: the
+estimator's scatters are unweighted, and so are the predictions checked here.
+
 The logits are one C-contiguous (k, N) array built on Dataset.sq_norms, so
 the max and the softmax sums reduce over k rows, in numpy's order for a row
 of k values: the results are bitwise those of the (N, k) formulas. Bad input

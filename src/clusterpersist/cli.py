@@ -247,11 +247,12 @@ _MAX_SCHEDULE_STEPS = 100_000
 
 
 def _geometric_schedule(beta_min: float, beta_max: float, ratio: float) -> List[float]:
-    if beta_min <= 0 or beta_max <= beta_min:
+    # written so that a NaN fails each guard
+    if not 0 < beta_min < beta_max:
         raise ValueError("require 0 < beta-min < beta-max")
-    if ratio <= 1.0:
+    if not ratio > 1.0:
         raise ValueError("ratio must exceed 1")
-    # the schedule has floor(steps) + 1 entries; a NaN or infinite count fails too
+    # the schedule has floor(steps) + 1 entries; an infinite count fails too
     steps = (math.log(beta_max) - math.log(beta_min)) / math.log(ratio)
     if not steps < _MAX_SCHEDULE_STEPS:
         raise ValueError(

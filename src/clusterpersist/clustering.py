@@ -28,9 +28,10 @@ class ClusteringSolution:
     """Hard assignment of points to k clusters plus centroids.
 
     For spectral clustering the centroids live in the embedding space
-    (k x k_embed), otherwise in feature space (k x d). Every cluster is
-    nonempty and each centroid is the mean of its assigned points. The
-    distortion is the weighted squared-Euclidean objective.
+    (k x k_embed), otherwise in feature space (k x d). Every label lies in
+    0..k-1, every cluster is nonempty, there is one centroid row per cluster
+    and each centroid is the mean of its assigned points. The distortion is
+    the mean squared-Euclidean objective (p_i = 1/N).
     """
 
     k: int
@@ -40,8 +41,12 @@ class ClusteringSolution:
 
     def __post_init__(self):
         counts = np.bincount(self.assignment, minlength=self.k)
+        if counts.size > self.k:
+            raise ValueError(f"cluster labels must lie below k={self.k}")
         if self.k < 1 or np.any(counts == 0):
             raise ValueError("every cluster must be nonempty")
+        if np.ndim(self.centroids) != 2 or len(self.centroids) != self.k:
+            raise ValueError(f"centroids must be a 2-d array of k={self.k} rows")
 
     def members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == j)
@@ -171,25 +176,14 @@ def _lloyd(
     return assign, centers, closest
 
 
-def _check_uniform_weights(data: Dataset) -> None:
-    """Refuse point weights that are not all equal: the seeding, the means
-    and the scatters of the estimator are unweighted."""
-    w = data.weights
-    if np.any(w != w[0]):
-        raise ValueError(
-            "non-uniform point weights are not supported; repeat points instead"
-        )
-
-
 def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> ClusteringSolution:
     """Best of `restarts` k-means++ runs, deterministic given seed.
 
     Ties in nearest-centroid go to the lowest cluster index; ties across
-    restarts go to the lowest restart index. Points must carry uniform
-    weights (the Dataset default); non-uniform weights raise ValueError, since
-    the seeding and the means would ignore them. A Lloyd run that reaches the
-    iteration cap before its assignment settles emits a RuntimeWarning and
-    keeps its last assignment.
+    restarts go to the lowest restart index. The distortion is the mean
+    squared distance of each point to its centroid (p_i = 1/N). A Lloyd run
+    that reaches the iteration cap before its assignment settles emits a
+    RuntimeWarning and keeps its last assignment.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -197,7 +191,6 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
         raise ValueError("k exceeds number of points")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    _check_uniform_weights(data)
     X = data.points
     x2 = data.sq_norms
     XT = _scoring_copy(X)
@@ -237,30 +230,18 @@ def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def spectral_cluster(
-    K: np.ndarray,
-    k: int,
-    restarts: int = 10,
-    seed: int = 0,
-    *,
-    basis: Optional[np.ndarray] = None,
+    basis: np.ndarray, k: int, restarts: int = 10, seed: int = 0
 ) -> ClusteringSolution:
-    """Ng-Jordan-Weiss spectral clustering on a dense similarity matrix.
+    """Ng-Jordan-Weiss spectral clustering from a Laplacian basis.
 
-    Embeds points with the k eigenvectors of the symmetric normalized
-    Laplacian having smallest eigenvalue, row-normalizes, then runs kmeans.
-    The returned centroids and distortion refer to the embedding space.
-    basis, when given, is spectral_basis(K, k_max) for some k_max >= k and
-    spares the Laplacian eigendecomposition; without it one is computed.
+    basis is spectral_basis(K, k_max) for a similarity matrix K and some
+    k_max >= k. The first k columns, the eigenvectors of the symmetric
+    normalized Laplacian with smallest eigenvalue, embed the points; the rows
+    are normalized and kmeans clusters them. The returned centroids and
+    distortion refer to the embedding space.
     """
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > n:
-        raise ValueError("k exceeds number of points")
-    basis = spectral_basis(K, k) if basis is None else np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != n or basis.shape[1] < k:
-        raise ValueError(f"basis must have {n} rows and at least {k} columns")
+    if not 1 <= k <= basis.shape[1]:
+        raise ValueError(f"k must lie in 1..{basis.shape[1]}, the columns of the basis")
     U = basis[:, :k]
     norms = np.linalg.norm(U, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

@@ -33,26 +33,26 @@ _SPIRAL_TURNS = 1.5
 
 @dataclass
 class Dataset:
-    """Points with per-point weights and optional ground-truth labels.
+    """Points with optional ground-truth labels.
 
-    points is an (N, d) float array, weights a length-N nonnegative vector
-    summing to 1 (uniform 1/N when not given). The annealing toolkit uses
-    the weights; the persistence estimator and kmeans take no weights and
-    refuse non-uniform ones. Instances are treated as immutable: the arrays
+    points is an (N, d) float array. The points are unweighted: the
+    estimator's scatters are plain sums over members, and the annealing
+    toolkit takes p_i = 1/N. Instances are treated as immutable: the arrays
     are private read-only copies, so the caller's arrays stay writable and a
     later write to them cannot reach the dataset. points keeps the C or
     Fortran order of its input and is always contiguous.
 
-    sq_norms, derived and not an init argument, holds the squared norms
-    (points * points).sum(axis=1), computed once here for k-means, the
-    annealing toolkit and the Gaussian kernel; it is read-only and left out
-    of repr and ==.
+    Two fields are derived, not init arguments, read-only and left out of
+    repr and ==: sq_norms holds the squared norms (points * points).sum(axis=1),
+    computed once here for k-means, the annealing toolkit and the Gaussian
+    kernel; weights holds the uniform point masses p_i = 1/N that the
+    annealing toolkit and the k-means distortion read.
     """
 
     points: np.ndarray
-    weights: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -61,16 +61,7 @@ class Dataset:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain NaN or Inf")
         n = pts.shape[0]
-        if self.weights is None:
-            w = np.full(n, 1.0 / n)
-        else:
-            w = np.array(self.weights, dtype=float)
-            if w.shape != (n,):
-                raise ValueError("weights length does not match points")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite and nonnegative")
-            if abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
+        w = np.full(n, 1.0 / n)
         lab = self.labels
         if lab is not None:
             lab = np.array(lab, dtype=int)
@@ -82,9 +73,9 @@ class Dataset:
         w.setflags(write=False)
         sq.setflags(write=False)
         self.points = pts
-        self.weights = w
         self.labels = lab
         self.sq_norms = sq
+        self.weights = w
 
     @property
     def n(self) -> int:
@@ -99,8 +90,8 @@ def normalize_zscore(data: Dataset) -> Dataset:
     """Center each feature and scale to unit population standard deviation.
 
     Constant columns become all-zero columns instead of erroring, so real
-    datasets with degenerate features still load. Weights and labels pass
-    through unchanged. Idempotent within 1e-9.
+    datasets with degenerate features still load. Labels pass through
+    unchanged. Idempotent within 1e-9.
     """
     X = data.points
     mu = X.mean(axis=0)
@@ -109,7 +100,7 @@ def normalize_zscore(data: Dataset) -> Dataset:
     nonconst = sd > 0
     out[:, nonconst] /= sd[nonconst]
     out[:, ~nonconst] = 0.0
-    return Dataset(out, weights=data.weights, labels=data.labels)
+    return Dataset(out, labels=data.labels)
 
 
 def load_csv(path, has_header: bool = False, label_column: Optional[int] = None) -> Dataset:

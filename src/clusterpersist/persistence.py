@@ -18,13 +18,7 @@ from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .clustering import (
-    ClusteringSolution,
-    _check_uniform_weights,
-    kmeans,
-    spectral_basis,
-    spectral_cluster,
-)
+from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
 from .dataset import Dataset
 from .linalg import _kernel_denominator
 from .linalg import gaussian_kernel, kernel_scatter_matrix, largest_eigenvalue, scatter_matrix
@@ -267,9 +261,9 @@ def persistence_profile(
     2 sigma^2 is not positive and finite, or when they would not fit in
     physical memory.
 
-    The estimator takes no point weights: data with non-uniform weights
-    raises ValueError, as do restarts < 1 and the other bad arguments,
-    before any clustering or kernel work starts.
+    The points are unweighted (p_i = 1/N), as in the paper's scatters.
+    restarts < 1 and the other bad arguments raise ValueError before any
+    clustering or kernel work starts.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -281,7 +275,6 @@ def persistence_profile(
         raise ValueError(f"unknown mode {mode!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    _check_uniform_weights(data)
     K = basis = None
     if mode == "kernel":
         if sigma is None or sigma <= 0:
@@ -303,7 +296,7 @@ def persistence_profile(
                 sol = kmeans(data, k, restarts=restarts, seed=child)
                 cb = critical_beta(sol, data, cache)
             else:
-                sol = spectral_cluster(K, k, restarts=restarts, seed=child, basis=basis)
+                sol = spectral_cluster(basis, k, restarts=restarts, seed=child)
                 cb = critical_beta_kernel(sol, K, cache)
         except (ValueError, RuntimeError) as e:
             raise type(e)(f"k={k}: {e}") from e

@@ -96,12 +96,10 @@ def test_associations_are_row_stochastic(seed, m, beta):
 
 
 def test_free_energy_single_centroid_is_mean_square_distance():
-    # with one centroid the log-sum-exp collapses and F is the weighted mean
-    # squared distance, independent of beta
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(20, 2))
-    w = rng.uniform(0.5, 1.5, size=20)
-    ds = Dataset(X, weights=w / w.sum())
+    # with one centroid the log-sum-exp collapses and F is the mean squared
+    # distance, independent of beta
+    X = np.random.default_rng(3).normal(size=(20, 2))
+    ds = Dataset(X)
     y = np.array([[0.3, -0.7]])
     want = float(ds.weights @ ((X - y[0]) ** 2).sum(axis=1))
     for beta in (0.5, 7.0):
@@ -140,10 +138,8 @@ def test_fixed_point_collapses_to_mean_at_low_beta():
 
 
 def test_fixed_point_single_centroid_lands_on_weighted_mean():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(15, 3))
-    w = rng.uniform(0.2, 1.0, size=15)
-    ds = Dataset(X, weights=w / w.sum())
+    X = np.random.default_rng(5).normal(size=(15, 3))
+    ds = Dataset(X)
     mu = np.average(X, axis=0, weights=ds.weights)
     Y = da_fixed_point(ds, np.array([[9.0, 9.0, 9.0]]), 1.0, tol=1e-12, max_iter=5)
     assert np.abs(Y[0] - mu).max() < 1e-12
@@ -192,10 +188,8 @@ def test_fixed_point_updates_never_increase_free_energy():
 
 
 def test_posterior_covariance_single_centroid_is_weighted_covariance():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(25, 2))
-    w = rng.uniform(0.1, 1.0, size=25)
-    ds = Dataset(X, weights=w / w.sum())
+    X = np.random.default_rng(7).normal(size=(25, 2))
+    ds = Dataset(X)
     mu = np.average(X, axis=0, weights=ds.weights)
     C = posterior_covariance(ds, mu[None, :], 3.0, 0)
     D = X - mu
@@ -419,29 +413,26 @@ def oracle_anneal_schedule(data, betas, scale=1e-6):
 
 
 def oracle_datasets():
-    """A weighted and a uniform dataset, each with centroid sets of one to
-    five rows, coincident rows and one far from every point included, and
-    sets of 8, 9, 17 and 129 rows, which numpy sums with eight running sums
-    and, above 128, by halves."""
+    """One dataset with centroid sets of one to five rows, coincident rows
+    and one far from every point included, and sets of 8, 9, 17 and 129
+    rows, which numpy sums with eight running sums and, above 128, by
+    halves."""
     rng = np.random.default_rng(11)
     wide = np.random.default_rng(13)
-    uniform = blobs([(0, 0), (4, 1), (1, 5)], 0.7, 20, seed=3)
-    w = rng.uniform(0.1, 2.0, size=60)
-    weighted = Dataset(uniform.points, weights=w / w.sum())
-    for ds in (weighted, uniform):
-        for m in range(1, 6):
-            Y = ds.points[rng.choice(ds.n, size=m, replace=False)] + rng.normal(size=(m, 2))
-            yield ds, Y
-            if m >= 2:
-                Yc = Y.copy()
-                Yc[1] = Yc[0]
-                yield ds, Yc
-        yield ds, np.array([[0.5, 0.5], [0.5, 0.5], [40.0, -30.0]])
-        for m in (8, 9, 17, 129):
-            Y = ds.points[wide.choice(ds.n, size=m)] + wide.normal(size=(m, 2))
-            Y[1] = Y[0]
-            Y[-1] = (40.0, -30.0)
-            yield ds, Y
+    ds = blobs([(0, 0), (4, 1), (1, 5)], 0.7, 20, seed=3)
+    for m in range(1, 6):
+        Y = ds.points[rng.choice(ds.n, size=m, replace=False)] + rng.normal(size=(m, 2))
+        yield ds, Y
+        if m >= 2:
+            Yc = Y.copy()
+            Yc[1] = Yc[0]
+            yield ds, Yc
+    yield ds, np.array([[0.5, 0.5], [0.5, 0.5], [40.0, -30.0]])
+    for m in (8, 9, 17, 129):
+        Y = ds.points[wide.choice(ds.n, size=m)] + wide.normal(size=(m, 2))
+        Y[1] = Y[0]
+        Y[-1] = (40.0, -30.0)
+        yield ds, Y
 
 
 ORACLE_BETAS = (0.0, 1e-3, 1.0, 1e3)
@@ -481,12 +472,8 @@ def test_fixed_point_is_bitwise_the_oracle():
             assert np.array_equal(got, oracle_da_fixed_point(ds, Y, beta, 1e-9, 50, np.inf))
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_anneal_is_bitwise_the_oracle(weighted):
+def test_anneal_is_bitwise_the_oracle():
     ds = gen_two_disks(1.0, 4.0, 60, seed=5)
-    if weighted:
-        w = np.random.default_rng(5).uniform(0.5, 1.5, size=ds.n)
-        ds = Dataset(ds.points, weights=w / w.sum())
     betas = list(np.geomspace(0.05, 2.0, 25))
     trace = anneal(ds, betas)
     schedule, splits = oracle_anneal_schedule(ds, betas)

@@ -95,20 +95,25 @@ def _converges(ds, Y, cap):
 
 
 def test_squared_norms_are_a_read_only_derived_attribute():
+    # weights, the uniform point masses p_i = 1/N, are derived the same way
     X = np.random.default_rng(3).normal(size=(30, 9))[::2, ::1]
     ds = Dataset(X)
     assert ds.sq_norms.tobytes() == (X * X).sum(axis=1).tobytes()
-    assert not ds.sq_norms.flags.writeable
-    with pytest.raises(ValueError):
-        ds.sq_norms[0] = 1.0
-    field = {f.name: f for f in dataclasses.fields(Dataset)}["sq_norms"]
-    assert (field.init, field.repr, field.compare) == (False, False, False)
-    assert "sq_norms" not in repr(ds)
-    with pytest.raises(TypeError):
-        Dataset(X, sq_norms=np.zeros(15))
-    other = copy.copy(ds)
-    other.sq_norms = np.zeros(15)
-    assert ds == other
+    assert ds.weights.tobytes() == np.full(15, 1.0 / 15).tobytes()
+    fields = {f.name: f for f in dataclasses.fields(Dataset)}
+    for name in ("sq_norms", "weights"):
+        derived = getattr(ds, name)
+        assert not derived.flags.writeable
+        with pytest.raises(ValueError):
+            derived[0] = 1.0
+        field = fields[name]
+        assert (field.init, field.repr, field.compare) == (False, False, False)
+        assert name not in repr(ds)
+        with pytest.raises(TypeError):
+            Dataset(X, **{name: np.zeros(15)})
+        other = copy.copy(ds)
+        setattr(other, name, np.zeros(15))
+        assert ds == other
 
 
 def test_hot_paths_read_the_stored_norms():

@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -312,10 +313,24 @@ def test_da_trace_refuses_overlong_schedule_before_building_it(capsys, monkeypat
         code, _, err = run_cli(base + ["--ratio", ratio], capsys)
         assert code == 1
         assert message in err
-    for beta_max in ("inf", "nan"):
-        code, _, err = run_cli(base[:-1] + [beta_max], capsys)
+    # a NaN fails its own guard rather than the length guard
+    for args, message in (
+        (base[:-1] + ["inf"], "schedule would exceed"),
+        (base[:-1] + ["nan"], "require 0 < beta-min < beta-max"),
+        (base[:-3] + ["nan", "--beta-max", repr(math.e)], "require 0 < beta-min < beta-max"),
+        (base + ["--ratio", "nan"], "ratio must exceed 1"),
+    ):
+        code, _, err = run_cli(args, capsys)
         assert code == 1
-        assert "schedule would exceed" in err
+        assert message in err
+
+
+def child_env():
+    """os.environ with the directory this suite imports clusterpersist from
+    put first on PYTHONPATH, so a child interpreter runs the same package
+    whether or not the suite was started with PYTHONPATH set."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def run_console_script(args, **run_kwargs):
@@ -353,7 +368,7 @@ def run_console_script(args, **run_kwargs):
         "sys.exit(main())\n"
     )
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, **run_kwargs
+        [sys.executable, "-c", code, *args], capture_output=True, env=child_env(), **run_kwargs
     )
 
 
@@ -376,6 +391,7 @@ def test_module_entry_point_matches_console_script():
     res = subprocess.run(
         [sys.executable, "-m", "clusterpersist.cli", *argv],
         capture_output=True,
+        env=child_env(),
     )
     assert res.returncode == 0
     assert len(res.stdout.decode().strip().split("\n")) == 30

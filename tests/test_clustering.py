@@ -17,7 +17,7 @@ from clusterpersist import (
     spectral_basis,
     spectral_cluster,
 )
-from helpers import blobs, same_partition, weighted_95_5
+from helpers import blobs, same_partition
 
 
 def test_kmeans_single_cluster_is_mean():
@@ -129,16 +129,39 @@ def test_solution_requires_nonempty_clusters():
         )
 
 
+def test_solution_rejects_labels_of_clusters_beyond_k():
+    # a third cluster that k=2 does not count would be left out of every
+    # scatter, and critical_beta would answer for the first two alone
+    with pytest.raises(ValueError, match="cluster labels must lie below k=2"):
+        ClusteringSolution(
+            k=2,
+            assignment=np.array([0, 0, 1, 1, 2, 2]),
+            centroids=np.zeros((2, 1)),
+            distortion=0.0,
+        )
+
+
+def test_solution_rejects_centroids_without_one_row_per_cluster():
+    for centroids in (np.zeros((3, 1)), np.zeros((1, 2)), np.zeros(2)):
+        with pytest.raises(ValueError, match="centroids must be a 2-d array of k=2 rows"):
+            ClusteringSolution(
+                k=2,
+                assignment=np.array([0, 0, 1, 1]),
+                centroids=centroids,
+                distortion=0.0,
+            )
+
+
 def test_spectral_separates_exact_blocks():
     K = np.zeros((9, 9))
     K[:5, :5] = 1.0
     K[5:, 5:] = 1.0
-    sol = spectral_cluster(K, 2, restarts=4, seed=0)
+    sol = spectral_cluster(spectral_basis(K, 2), 2, restarts=4, seed=0)
     assert same_partition(sol.assignment, [0] * 5 + [1] * 4)
 
 
 def test_spectral_single_cluster():
-    sol = spectral_cluster(np.ones((6, 6)), 1, restarts=2, seed=0)
+    sol = spectral_cluster(spectral_basis(np.ones((6, 6)), 1), 1, restarts=2, seed=0)
     assert np.all(sol.assignment == 0)
 
 
@@ -146,24 +169,24 @@ def test_spectral_isolated_point_error():
     K = np.eye(4)
     K[2, 2] = 0.0
     with pytest.raises(ValueError, match="isolated point"):
-        spectral_cluster(K, 2)
+        spectral_basis(K, 2)
 
 
 def test_spectral_validation():
-    with pytest.raises(ValueError, match="k must be positive"):
-        spectral_cluster(np.eye(3), 0)
-    with pytest.raises(ValueError, match="k exceeds"):
-        spectral_cluster(np.eye(3), 4)
-    with pytest.raises(ValueError, match="at least 3 columns"):
-        spectral_cluster(np.ones((4, 4)), 3, basis=spectral_basis(np.ones((4, 4)), 2))
-    with pytest.raises(ValueError, match="must have 4 rows"):
-        spectral_cluster(np.ones((4, 4)), 2, basis=spectral_basis(np.ones((5, 5)), 2))
+    # k must name columns the basis has; a basis never has more than N
+    basis = spectral_basis(np.eye(3), 5)
+    assert basis.shape == (3, 3)
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError, match=r"k must lie in 1\.\.3"):
+            spectral_cluster(basis, k)
+    with pytest.raises(ValueError, match=r"k must lie in 1\.\.2"):
+        spectral_cluster(spectral_basis(np.ones((4, 4)), 2), 3)
 
 
 def test_spectral_recovers_rings():
     ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
     K = gaussian_kernel(ds, 0.01)
-    sol = spectral_cluster(K, 3, restarts=8, seed=0)
+    sol = spectral_cluster(spectral_basis(K, 3), 3, restarts=8, seed=0)
     assert same_partition(sol.assignment, ds.labels)
 
 
@@ -171,12 +194,12 @@ def test_spectral_deterministic():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(30, 2))
     K = gaussian_kernel(Dataset(X), 1.0)
-    a = spectral_cluster(K, 3, restarts=5, seed=2)
-    b = spectral_cluster(K, 3, restarts=5, seed=2)
+    a = spectral_cluster(spectral_basis(K, 3), 3, restarts=5, seed=2)
+    b = spectral_cluster(spectral_basis(K, 3), 3, restarts=5, seed=2)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     assert a.distortion == b.distortion
-    # a wider precomputed basis embeds with the same first k columns
-    c = spectral_cluster(K, 3, restarts=5, seed=2, basis=spectral_basis(K, 6))
+    # a wider basis embeds with the same first k columns
+    c = spectral_cluster(spectral_basis(K, 6), 3, restarts=5, seed=2)
     np.testing.assert_array_equal(c.assignment, a.assignment)
     assert c.centroids.tobytes() == a.centroids.tobytes()
     assert c.distortion == a.distortion
@@ -330,11 +353,3 @@ def test_lloyd_cap_warns_and_keeps_the_result(monkeypatch, capsys):
     assert reused == [False] * 2
     assert_matches_oracle(sol, oracle_kmeans(ds, 3, restarts=2, seed=4, cap=1))
     assert capsys.readouterr().out == ""
-
-
-def test_kmeans_refuses_non_uniform_weights():
-    ds = weighted_95_5()
-    with pytest.raises(ValueError, match="non-uniform point weights"):
-        kmeans(ds, 1)
-    uniform = kmeans(Dataset(ds.points, weights=np.full(ds.n, 1.0 / ds.n)), 2, restarts=2, seed=1)
-    assert_matches_oracle(uniform, oracle_kmeans(Dataset(ds.points), 2, restarts=2, seed=1))

@@ -28,16 +28,6 @@ def test_dataset_rejects_nonfinite():
         Dataset(np.array([[np.inf, 0.0]]))
 
 
-def test_dataset_weight_validation():
-    X = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="weights length"):
-        Dataset(X, weights=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        Dataset(X, weights=np.array([0.5, 0.6, -0.1]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        Dataset(X, weights=np.array([0.5, 0.6, 0.2]))
-
-
 def test_dataset_label_length_validation():
     with pytest.raises(ValueError, match="labels length"):
         Dataset(np.zeros((3, 1)), labels=np.array([0, 1]))
@@ -59,17 +49,14 @@ def test_dataset_arrays_are_read_only():
 def test_dataset_copies_the_callers_arrays():
     base = np.zeros((4, 3))
     X = base[:, :2]
-    w = np.full(4, 0.25)
     labels = np.arange(4)
-    ds = Dataset(X, weights=w, labels=labels)
-    for a in (base, X, w, labels):
+    ds = Dataset(X, labels=labels)
+    for a in (base, X, labels):
         assert a.flags.writeable
     base[0, 0] = 3.0
-    w[0] = 0.5
     labels[0] = 7
     assert ds.points[0, 0] == 0.0
     assert ds.sq_norms[0] == 0.0
-    assert ds.weights[0] == 0.25
     assert ds.labels[0] == 0
     assert not (ds.points.flags.writeable or ds.weights.flags.writeable or ds.labels.flags.writeable)
 
@@ -93,10 +80,9 @@ def test_zscore_moments():
 
 
 def test_zscore_preserves_weights_and_labels():
-    w = np.array([0.2, 0.3, 0.5])
-    ds = Dataset(np.arange(6.0).reshape(3, 2), weights=w, labels=np.array([1, 0, 1]))
+    ds = Dataset(np.arange(6.0).reshape(3, 2), labels=np.array([1, 0, 1]))
     out = normalize_zscore(ds)
-    np.testing.assert_array_equal(out.weights, w)
+    assert out.weights.tobytes() == ds.weights.tobytes()
     np.testing.assert_array_equal(out.labels, ds.labels)
 
 

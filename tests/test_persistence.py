@@ -26,7 +26,7 @@ from clusterpersist import (
     spectral_basis,
     spectral_cluster,
 )
-from helpers import DATA_DIR, blobs, same_partition, sym, weighted_95_5
+from helpers import DATA_DIR, blobs, same_partition, sym
 
 
 def manual_solution(X, assignment, k):
@@ -212,7 +212,7 @@ def test_rings_at_two_clusters_tie_between_two_groupings():
     rings = np.repeat([0, 1, 2], 450)
     distortions, betas = set(), {}
     for seed in range(4):
-        sol = spectral_cluster(K, 2, restarts=8, seed=seed, basis=basis)
+        sol = spectral_cluster(basis, 2, restarts=8, seed=seed)
         outer = sol.assignment[900]
         partner = 0 if sol.assignment[0] == outer else 1
         assert same_partition(sol.assignment, np.where(rings == 2, partner, rings))
@@ -287,7 +287,8 @@ def uncached_profile(data, k_max, mode, restarts, seed, sigma=None):
     for k in range(1, k_max + 1):
         child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
         if mode == "kernel":
-            sol = persistence.spectral_cluster(K, k, restarts=restarts, seed=child)
+            basis = spectral_basis(K, k)
+            sol = persistence.spectral_cluster(basis, k, restarts=restarts, seed=child)
             cb = unpruned_critical_beta(sol, lambda j, m: kernel_scatter_matrix(K, m))
         else:
             sol = persistence.kmeans(data, k, restarts=restarts, seed=child)
@@ -530,8 +531,6 @@ def test_bad_sweep_arguments_fail_before_any_work(monkeypatch):
     for mode, sigma in (("linear", None), ("kernel", 1.0)):
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             persistence_profile(ds, k_max=3, mode=mode, sigma=sigma, restarts=0)
-        with pytest.raises(ValueError, match="non-uniform point weights"):
-            persistence_profile(weighted_95_5(), k_max=3, mode=mode, sigma=sigma)
     # 2 sigma^2 is NaN, inf, inf and 0
     for sigma in (math.nan, math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="2 sigma\\^2 finite and nonzero"):
