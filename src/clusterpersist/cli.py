@@ -246,12 +246,24 @@ def _cmd_gen(parser, args) -> int:
 _MAX_SCHEDULE_STEPS = 100_000
 
 
-def _geometric_schedule(beta_min: float, beta_max: float, ratio: float) -> List[float]:
+def _validate_da_args(parser: argparse.ArgumentParser, args) -> None:
     # written so that a NaN fails each guard
+    if not args.ratio > 1.0:
+        parser.error(f"--ratio must exceed 1, got {args.ratio!r}")
+    if not 0.0 < args.scale < math.inf:
+        parser.error(f"--scale must be positive and finite, got {args.scale!r}")
+    lo, hi = args.beta_min, args.beta_max
+    for flag, value in (("--beta-min", lo), ("--beta-max", hi)):
+        if value is not None and not 0.0 < value < math.inf:
+            parser.error(f"{flag} must be positive and finite, got {value!r}")
+    if lo is not None and hi is not None and not lo < hi:
+        parser.error("--beta-min must be below --beta-max")
+
+
+def _geometric_schedule(beta_min: float, beta_max: float, ratio: float) -> List[float]:
+    # a bound derived from the data is first known here
     if not 0 < beta_min < beta_max:
         raise ValueError("require 0 < beta-min < beta-max")
-    if not ratio > 1.0:
-        raise ValueError("ratio must exceed 1")
     # the schedule has floor(steps) + 1 entries; an infinite count fails too
     steps = (math.log(beta_max) - math.log(beta_min)) / math.log(ratio)
     if not steps < _MAX_SCHEDULE_STEPS:
@@ -266,6 +278,7 @@ def _geometric_schedule(beta_min: float, beta_max: float, ratio: float) -> List[
 
 
 def _cmd_da_trace(parser, args) -> int:
+    _validate_da_args(parser, args)
     data = _load_dataset(args)
     mean = np.average(data.points, axis=0, weights=data.weights)
     C = posterior_covariance(data, mean[None, :], 1.0, 0)

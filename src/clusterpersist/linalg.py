@@ -314,29 +314,24 @@ def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     return _lanczos(M)
 
 
-def scatter_matrix(data: Dataset, assignment: np.ndarray, centroid: np.ndarray, cluster: int) -> np.ndarray:
-    """Unnormalized scatter of one cluster about its centroid.
+def scatter_matrix(data: Dataset, members: np.ndarray) -> np.ndarray:
+    """Unnormalized scatter of one cluster, given by its member indices,
+    about the member mean (the centroid of a hard cluster).
 
     Returns the plain sum of outer products of centered member points, with
-    no division by the cluster size. The passed centroid must equal the
-    member mean within 1e-9, which guards against stale assignments.
+    no division by the cluster size.
     """
-    assignment = np.asarray(assignment)
-    members = assignment == cluster
-    if not members.any():
+    members = np.asarray(members)
+    if members.size == 0:
         raise ValueError("empty cluster")
     X = data.points[members]
-    centroid = np.asarray(centroid, dtype=float)
-    mean = X.mean(axis=0)
-    if np.abs(centroid - mean).max() > 1e-9 * max(1.0, np.abs(mean).max()):
-        raise ValueError("centroid mismatch")
-    D = X - centroid
+    D = X - X.mean(axis=0)
     return D.T @ D  # syrk, one triangle copied: exactly symmetric
 
 
 def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndarray:
     """Doubly centered kernel block sharing its nonzero spectrum with the
-    feature-space scatter of the cluster.
+    feature-space scatter of the cluster with these member indices.
 
     A_kl = K_kl - rowmean_k - rowmean_l + blockmean over cluster members.
     """

@@ -2,8 +2,9 @@
 
 The critical resolution of a k-cluster solution is
 beta_bar_k = 1 / (2 max_j lambda_max(S_j)) with S_j the unnormalized scatter
-of cluster j about its centroid (kernelized via the doubly centered Gram
-block when clustering shapes). The persistence of the k-cluster solution is
+of cluster j about its centroid, the mean of its members (kernelized via the
+doubly centered Gram block when clustering shapes), so each block depends on
+the member set alone. The persistence of the k-cluster solution is
 v(k) = log beta_bar_k - log beta_bar_{k-1} and the estimated true number of
 clusters is the argmax of v, ties going to the smaller k.
 """
@@ -64,14 +65,6 @@ def _check_kernel_memory(n: int) -> None:
         )
 
 
-def _critical_from_lmax(lmax: np.ndarray) -> CriticalBeta:
-    top = float(lmax.max())
-    if top <= 0.0:
-        raise ValueError("resolution unbounded; reduce k_max")
-    j = int(np.argmax(lmax))
-    return CriticalBeta(beta=1.0 / (2.0 * top), cluster=j)
-
-
 # A block is skipped only when its radius bound, raised by this relative
 # slack, is still below the largest eigenvalue known at its k; and only when
 # n*n*eps, the scale of the rounding in both the bound and the solver, is at
@@ -101,13 +94,12 @@ def _radius_bounds(M: np.ndarray):
         yield m * f * float(np.linalg.norm(P)) ** (1.0 / p)
 
 
-def _critical_beta(solution: ClusteringSolution, key, build, cache: Optional[dict]) -> CriticalBeta:
+def _critical_beta(solution: ClusteringSolution, build, cache: Optional[dict]) -> CriticalBeta:
     """The critical-resolution loop shared by both scatter kinds.
 
-    For each cluster j with members m, key(j, m) names every input of its
-    matrix that can change within a sweep and build(j, m) makes the matrix;
-    cache, if given, maps keys to top eigenvalues already solved, and a hit
-    reuses one.
+    A cluster block is a function of its member indices m alone: build(m)
+    makes the matrix, and cache, if given, maps m.tobytes() to top
+    eigenvalues already solved, so a hit reuses one.
 
     Only the largest top eigenvalue, and the first cluster that has it,
     reach the result, so a block that provably cannot reach it is not
@@ -132,11 +124,11 @@ def _critical_beta(solution: ClusteringSolution, key, build, cache: Optional[dic
         members = solution.members(j)
         if members.size <= 1:
             continue
-        block = key(j, members)
+        block = members.tobytes()
         if block in cache:
             lmax[j] = cache[block]
         else:
-            M = build(j, members)
+            M = build(members)
             unsolved.append((next(_radius_bounds(M)), j, block, M))
     best = lmax.max()
     for _, j, block, M in sorted(unsolved, key=lambda u: u[0], reverse=True):
@@ -149,7 +141,10 @@ def _critical_beta(solution: ClusteringSolution, key, build, cache: Optional[dic
         cache[block], _ = largest_eigenvalue(M)
         lmax[j] = cache[block]
         best = max(best, lmax[j])
-    return _critical_from_lmax(lmax)
+    top = float(lmax.max())
+    if top <= 0.0:
+        raise ValueError("resolution unbounded; reduce k_max")
+    return CriticalBeta(beta=1.0 / (2.0 * top), cluster=int(np.argmax(lmax)))
 
 
 def critical_beta(
@@ -159,18 +154,14 @@ def critical_beta(
 
     Singleton clusters have zero scatter and simply lose the max; if every
     cluster has zero spectrum the resolution is unbounded and an error is
-    raised. cache, when given, is a dict owned by one sweep over data;
-    blocks are keyed by member set and centroid, so a cluster that recurs
-    with the same members and centroid is solved once. A scatter whose
-    certified spectral-radius bound is below the largest eigenvalue already
-    known is not solved; the result is bitwise the same (see _critical_beta).
+    raised. Each scatter is taken about its member mean, so
+    solution.centroids is not read. cache, when given, is a dict owned by
+    one sweep over data; blocks are keyed by member set, so a cluster that
+    recurs with the same members is solved once. A scatter whose certified
+    spectral-radius bound is below the largest eigenvalue already known is
+    not solved; the result is bitwise the same (see _critical_beta).
     """
-    return _critical_beta(
-        solution,
-        key=lambda j, m: (m.tobytes(), np.asarray(solution.centroids[j], dtype=float).tobytes()),
-        build=lambda j, m: scatter_matrix(data, solution.assignment, solution.centroids[j], j),
-        cache=cache,
-    )
+    return _critical_beta(solution, lambda m: scatter_matrix(data, m), cache)
 
 
 def critical_beta_kernel(
@@ -183,12 +174,7 @@ def critical_beta_kernel(
     critical_beta, a block that provably cannot hold the largest eigenvalue
     is not solved, with a bitwise equal result.
     """
-    return _critical_beta(
-        solution,
-        key=lambda j, m: m.tobytes(),
-        build=lambda j, m: kernel_scatter_matrix(K, m),
-        cache=cache,
-    )
+    return _critical_beta(solution, lambda m: kernel_scatter_matrix(K, m), cache)
 
 
 @dataclass
@@ -251,15 +237,15 @@ def persistence_profile(
 
     Work that does not depend on k is done once per sweep: in kernel mode the
     similarity matrix and one Laplacian eigendecomposition, whose first k
-    columns embed the points at every k. A cluster block that recurs across
-    k (same members, and in linear mode the same centroid) has its top
+    columns embed the points at every k. A cluster block is a function of
+    its members, so one that recurs across k (same members) has its top
     eigenvalue solved once, from a cache that lives only for this call, and
     a block whose spectral-radius bound is below the largest eigenvalue
     known at its k is not solved. The output is the same as clustering and
     solving every k, and every block, from scratch.
     Kernel mode raises ValueError before building the N x N matrices when
-    2 sigma^2 is not positive and finite, or when they would not fit in
-    physical memory.
+    sigma is None, not positive or has 2 sigma^2 not positive and finite,
+    or when they would not fit in physical memory.
 
     The points are unweighted (p_i = 1/N), as in the paper's scatters.
     restarts < 1 and the other bad arguments raise ValueError before any
@@ -277,7 +263,7 @@ def persistence_profile(
         raise ValueError("restarts must be at least 1")
     K = basis = None
     if mode == "kernel":
-        if sigma is None or sigma <= 0:
+        if sigma is None:
             raise ValueError("kernel mode requires a positive sigma")
         _kernel_denominator(sigma)
         _check_kernel_memory(data.n)

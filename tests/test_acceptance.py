@@ -193,7 +193,7 @@ def test_criterion_6_kernel_scatter_spectrum_equivalence():
         X = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0)
         ds = Dataset(X)
         members = np.arange(n)
-        S = scatter_matrix(ds, np.zeros(n, dtype=int), X.mean(axis=0), 0)
+        S = scatter_matrix(ds, members)
         A = kernel_scatter_matrix(X @ X.T, members)
         kernel_spec = np.sort(jacobi_eigh(A)[0])[::-1]
         scatter_spec = np.sort(np.linalg.eigvalsh(S))[::-1]

@@ -8,7 +8,9 @@ catches that without running the benchmark. The file is read, not imported.
 
 The tracer also counts fixed-point iterations as the gibbs_associations
 spans directly under da_fixed_point, so that call structure is pinned here
-too, with the per-dataset squared norms the hot path reads.
+too, with the per-dataset squared norms the hot path reads. It sees the
+scatter builders only through the names the persistence module holds, so
+both critical-beta functions must look them up there at call time.
 """
 
 import ast
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 import clusterpersist.annealing as annealing
+import clusterpersist.persistence as persistence
 from clusterpersist import Dataset, gaussian_kernel, kmeans
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -52,18 +55,21 @@ def test_every_stressed_span_is_a_public_layer_function():
         assert fn.__module__ == module.__name__, (workload, span)
 
 
-def counting_gibbs(monkeypatch):
-    """Wrap annealing.gibbs_associations, as the tracer does; returns the
-    list of calls."""
+def counting(monkeypatch, module, name):
+    """Wrap module.name, as the tracer does; returns the list of calls."""
     calls = []
-    inner = annealing.gibbs_associations
+    inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(annealing, "gibbs_associations", wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def counting_gibbs(monkeypatch):
+    return counting(monkeypatch, annealing, "gibbs_associations")
 
 
 def small_case():
@@ -84,6 +90,21 @@ def test_fixed_point_calls_the_public_posterior_once_per_iteration(monkeypatch):
     annealing.da_fixed_point(ds, Y, 0.5, tol=1e-9, max_iter=500)
     assert iterations > 2
     assert len(calls) == iterations
+
+
+def test_critical_beta_calls_the_public_scatter_builders(monkeypatch):
+    # a builder bound when the module is imported would bypass the wrapper,
+    # and the linalg.scatter_matrix span of grid100 and tables would be empty
+    ds, _ = small_case()
+    sol = kmeans(ds, 2, restarts=2)
+    linear = counting(monkeypatch, persistence, "scatter_matrix")
+    kernel = counting(monkeypatch, persistence, "kernel_scatter_matrix")
+    persistence.critical_beta(sol, ds)
+    assert len(linear) == 2 and not kernel
+    K = gaussian_kernel(ds, 2.0)
+    persistence.critical_beta_kernel(sol, K)
+    assert len(linear) == 2 and len(kernel) == 2
+    assert [args[1].tolist() for args in kernel] == [sol.members(j).tolist() for j in (0, 1)]
 
 
 def _converges(ds, Y, cap):

@@ -267,9 +267,25 @@ def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):
     assert out_path.read_bytes() == anneal(*args, **kwargs).to_csv().encode()
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
-def test_da_trace_rejects_an_unusable_scale(scale, capsys):
-    code, out, err = run_cli(["da-trace", "--gen", "two-disks", "--n", "50", "--scale", scale], capsys)
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_da_trace_rejects_an_unusable_scale(scale, capsys, monkeypatch):
+    # a usage error, raised before the data is built
+    def no_data(args):
+        raise AssertionError("data built despite a bad --scale")
+
+    monkeypatch.setattr(cli, "_load_dataset", no_data)
+    with pytest.raises(SystemExit) as exc:
+        main(["da-trace", "--gen", "two-disks", "--n", "50", "--scale", scale])
+    assert exc.value.code == 2
+    assert "--scale must be positive and finite" in capsys.readouterr().err
+
+
+def test_da_trace_rejects_a_scale_whose_offset_overflows(capsys):
+    # a usable --scale times the data's diameter can still overflow; only the
+    # data tells, so this is a runtime failure
+    code, out, err = run_cli(
+        ["da-trace", "--gen", "two-disks", "--n", "50", "--scale", "1e308"], capsys
+    )
     assert code == 1
     assert "split_perturbation_scale" in err
     assert "raise --beta-max" not in out
@@ -286,13 +302,17 @@ def test_da_trace_without_split_reports_failure(capsys):
 
 
 def test_da_trace_rejects_bad_schedule(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["da-trace", "--gen", "two-disks", "--n", "100",
+              "--beta-min", "0.5", "--beta-max", "0.1"])
+    assert exc.value.code == 2
+    assert "--beta-min must be below --beta-max" in capsys.readouterr().err
+    # a bound derived from the data is checked once the data is built
     code, _, err = run_cli(
-        ["da-trace", "--gen", "two-disks", "--n", "100",
-         "--beta-min", "0.5", "--beta-max", "0.1"],
-        capsys,
+        ["da-trace", "--gen", "two-disks", "--n", "100", "--beta-min", "1e6"], capsys
     )
     assert code == 1
-    assert "error:" in err
+    assert "require 0 < beta-min < beta-max" in err
 
 
 def test_da_trace_refuses_overlong_schedule_before_building_it(capsys, monkeypatch):
@@ -313,16 +333,19 @@ def test_da_trace_refuses_overlong_schedule_before_building_it(capsys, monkeypat
         code, _, err = run_cli(base + ["--ratio", ratio], capsys)
         assert code == 1
         assert message in err
-    # a NaN fails its own guard rather than the length guard
+    # a NaN or infinite number is a usage error, caught before the data is
+    # built, rather than a schedule too long to build
     for args, message in (
-        (base[:-1] + ["inf"], "schedule would exceed"),
-        (base[:-1] + ["nan"], "require 0 < beta-min < beta-max"),
-        (base[:-3] + ["nan", "--beta-max", repr(math.e)], "require 0 < beta-min < beta-max"),
-        (base + ["--ratio", "nan"], "ratio must exceed 1"),
+        (base[:-1] + ["inf"], "--beta-max must be positive and finite, got inf"),
+        (base[:-1] + ["nan"], "--beta-max must be positive and finite, got nan"),
+        (base[:-3] + ["nan", "--beta-max", repr(math.e)], "--beta-min must be positive and finite"),
+        (base + ["--ratio", "nan"], "--ratio must exceed 1, got nan"),
+        (base + ["--ratio", "1"], "--ratio must exceed 1, got 1.0"),
     ):
-        code, _, err = run_cli(args, capsys)
-        assert code == 1
-        assert message in err
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def child_env():

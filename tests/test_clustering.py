@@ -105,18 +105,19 @@ def test_kmeans_invariant_to_point_order():
 def test_kmeans_solution_invariants(seed, n, k):
     k = min(k, n)
     rng = np.random.default_rng(seed)
-    ds = Dataset(rng.normal(size=(n, 2)))
-    sol = kmeans(ds, k, restarts=3, seed=seed)
-    assert np.bincount(sol.assignment, minlength=k).min() >= 1
-    for j in range(k):
-        np.testing.assert_allclose(
-            sol.centroids[j], ds.points[sol.members(j)].mean(axis=0), atol=1e-9
-        )
-    d2 = ((ds.points - sol.centroids[sol.assignment]) ** 2).sum(axis=1)
-    assert sol.distortion == pytest.approx(float(ds.weights @ d2), rel=1e-9, abs=1e-12)
-    # each point sits with its nearest centroid
-    full = ((ds.points[:, None, :] - sol.centroids[None, :, :]) ** 2).sum(axis=2)
-    assert np.all(d2 <= full.min(axis=1) + 1e-9)
+    X = rng.normal(size=(n, 2))
+    for ds in (Dataset(X), Dataset(np.asfortranarray(X))):
+        sol = kmeans(ds, k, restarts=3, seed=seed)
+        assert np.bincount(sol.assignment, minlength=k).min() >= 1
+        # bitwise: critical_beta scatters each cluster about its member mean,
+        # which is the scatter about the solution's centroid only if they agree
+        for j in range(k):
+            assert np.array_equal(sol.centroids[j], ds.points[sol.members(j)].mean(axis=0))
+        d2 = ((ds.points - sol.centroids[sol.assignment]) ** 2).sum(axis=1)
+        assert sol.distortion == pytest.approx(float(ds.weights @ d2), rel=1e-9, abs=1e-12)
+        # each point sits with its nearest centroid
+        full = ((ds.points[:, None, :] - sol.centroids[None, :, :]) ** 2).sum(axis=2)
+        assert np.all(d2 <= full.min(axis=1) + 1e-9)
 
 
 def test_solution_requires_nonempty_clusters():

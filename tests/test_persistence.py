@@ -181,7 +181,8 @@ def test_profile_validation():
         persistence_profile(ds, k_max=3, mode="rbf")
     with pytest.raises(ValueError, match="positive sigma"):
         persistence_profile(ds, k_max=3, mode="kernel")
-    with pytest.raises(ValueError, match="positive sigma"):
+    # a negative sigma fails the one Gaussian-width check, _kernel_denominator's
+    with pytest.raises(ValueError, match="sigma must be positive with 2 sigma\\^2 finite"):
         persistence_profile(ds, k_max=3, mode="kernel", sigma=-1.0)
 
 
@@ -273,7 +274,7 @@ def unpruned_critical_beta(solution, build):
     for j in range(solution.k):
         members = solution.members(j)
         if members.size > 1:
-            lmax[j], _ = persistence.largest_eigenvalue(build(j, members))
+            lmax[j], _ = persistence.largest_eigenvalue(build(members))
     return 1.0 / (2.0 * float(lmax.max())), int(np.argmax(lmax))
 
 
@@ -289,12 +290,10 @@ def uncached_profile(data, k_max, mode, restarts, seed, sigma=None):
         if mode == "kernel":
             basis = spectral_basis(K, k)
             sol = persistence.spectral_cluster(basis, k, restarts=restarts, seed=child)
-            cb = unpruned_critical_beta(sol, lambda j, m: kernel_scatter_matrix(K, m))
+            cb = unpruned_critical_beta(sol, lambda m: kernel_scatter_matrix(K, m))
         else:
             sol = persistence.kmeans(data, k, restarts=restarts, seed=child)
-            cb = unpruned_critical_beta(
-                sol, lambda j, m: scatter_matrix(data, sol.assignment, sol.centroids[j], j)
-            )
+            cb = unpruned_critical_beta(sol, lambda m: scatter_matrix(data, m))
         beta_bar[k], crit[k] = cb
     v = {k: math.log(beta_bar[k]) - math.log(beta_bar[k - 1]) for k in range(2, k_max + 1)}
     best = max(v.values())
@@ -377,7 +376,7 @@ def test_exact_tie_goes_to_the_first_cluster(monkeypatch):
     X = np.vstack([Q, -Q, [[0.0, 0.0]]])
     labels = {1: [0] * 13, 2: [0] * 12 + [1], 3: [0] * 6 + [1] * 6 + [2]}
     sol = manual_solution(X, np.asarray(labels[3]), 3)
-    S = [scatter_matrix(Dataset(X), sol.assignment, sol.centroids[j], j) for j in (0, 1)]
+    S = [scatter_matrix(Dataset(X), sol.members(j)) for j in (0, 1)]
     assert S[0].tobytes() == S[1].tobytes()
     prof, solved = hand_built_sweep(monkeypatch, X, labels)
     assert prof.critical_cluster[3] == 0
@@ -426,7 +425,7 @@ def test_skipped_block_is_solved_when_it_recurs_as_the_widest(monkeypatch):
     assert len(cache) == 1
 
 
-def test_sweep_sets_aside_a_block_power_iteration_cannot_solve():
+def test_block_the_sweep_sets_aside_still_solves_on_its_own():
     # at k=3 one kernel block's bound is below the k=3 maximum, so the sweep
     # sets it aside; solved on its own, the block must still match eigvalsh
     ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 80, 0.01, seed=0))
@@ -478,11 +477,12 @@ def test_radius_bounds_are_at_least_the_spectral_radius(M):
         assert b >= rho * (1.0 - 4.0 * n * np.finfo(float).eps)
 
 
-def test_block_cache_keys_on_the_centroid(monkeypatch):
+def test_block_is_its_member_set_whatever_the_centroids(monkeypatch):
     # the widest cluster A recurs at k=3 with the same members as at k=2 but
-    # a centroid shifted within scatter_matrix's tolerance; far from the
-    # origin that shift moves A's top eigenvalue, so a key on members alone
-    # would reuse the k=2 value
+    # a shifted centroid; far from the origin that shift would move A's top
+    # eigenvalue, but a scatter is taken about its member mean, so the
+    # centroids a solution carries reach neither critical_beta nor the
+    # sweep's cache
     rng = np.random.default_rng(6)
     a = rng.normal(size=(40, 2)) * [3.0, 1.0]
     b = rng.normal(size=(20, 2)) * 0.2 + [0.0, 30.0]
@@ -491,17 +491,16 @@ def test_block_cache_keys_on_the_centroid(monkeypatch):
     ds = Dataset(X)
     labels = {1: np.zeros(80, int), 2: np.repeat([0, 1, 1], [40, 20, 20]),
               3: np.repeat([0, 1, 2], [40, 20, 20])}
-    sols = {}
-    for k, assign in labels.items():
-        sol = manual_solution(X, assign, k)
-        if k == 3:
-            sol.centroids[0] += 5e-4
-        sols[k] = sol
+    sols = {k: manual_solution(X, assign, k) for k, assign in labels.items()}
+    beta = {k: critical_beta(sol, ds) for k, sol in sols.items()}
+    sols[3].centroids[0] += 5e-4
+    assert critical_beta(sols[3], ds) == beta[3]
     monkeypatch.setattr(persistence, "kmeans", lambda data, k, restarts, seed: sols[k])
+    solved = counting_eigensolver(monkeypatch)
     prof = persistence_profile(ds, k_max=3)
-    beta = {k: critical_beta(sol, ds).beta for k, sol in sols.items()}
-    assert beta[3] != beta[2]
-    assert prof.beta_bar == beta
+    assert prof.beta_bar == {k: cb.beta for k, cb in beta.items()}
+    # A's block, cached at k=2, is not solved again at k=3
+    assert solved.count(scatter_matrix(ds, sols[3].members(0)).tobytes()) == 1
 
 
 def test_kernel_memory_guard_refuses_before_allocating(monkeypatch):
