@@ -106,23 +106,21 @@ def _kmeanspp_init(
     return centers
 
 
-def _repair_empty(X: np.ndarray, assign: np.ndarray, centers: np.ndarray, counts: np.ndarray):
-    """Move the point farthest from its centroid into each empty cluster,
-    never draining a singleton."""
+def _repair_empty(X: np.ndarray, assign: np.ndarray, means: np.ndarray, counts: np.ndarray):
+    """Move the point farthest from its cluster mean into each empty cluster,
+    never draining a singleton; means[j] becomes that point."""
     for j in np.flatnonzero(counts == 0):
-        dist = ((X - centers[assign]) ** 2).sum(axis=1)
+        dist = ((X - means[assign]) ** 2).sum(axis=1)
         dist[counts[assign] <= 1] = -np.inf
         donor = int(np.argmax(dist))
         counts[assign[donor]] -= 1
         assign[donor] = j
         counts[j] = 1
-        centers[j] = X[donor]
+        means[j] = X[donor]
 
 
-def _cluster_means(
-    X: np.ndarray, assign: np.ndarray, counts: np.ndarray, centers: np.ndarray
-) -> np.ndarray:
-    """Mean of the points of each cluster; an empty cluster keeps its center.
+def _cluster_means(X: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of the points of each cluster; an empty cluster's row is zero.
 
     A stable sort groups the rows by cluster in their original order, so each
     mean is bitwise X[assign == j].mean(axis=0). Sums that scatter or reduce
@@ -131,7 +129,7 @@ def _cluster_means(
     # a stable sort of 16-bit keys is a radix sort
     keys = assign.astype(np.int16) if counts.size < 2**15 else assign
     Xs = X[np.argsort(keys, kind="stable")]
-    means = centers.copy()
+    means = np.zeros((counts.size, X.shape[1]))
     start = 0
     for j, count in enumerate(counts.tolist()):
         if count:
@@ -142,12 +140,14 @@ def _cluster_means(
 
 def _lloyd(
     X: np.ndarray, x2: np.ndarray, centers: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iterations from the given centers to an assignment fixed point.
 
-    Returns the assignment, the centers and each point's squared distance to
-    its center; the distances are None when the last iteration repaired an
-    empty cluster or hit the cap, since the centers moved after them.
+    Returns the assignment, the centers, each the mean of its members, and
+    each point's squared distance to its nearest center. A run settles when
+    the assignment after any empty-cluster repair equals the one before, and
+    returns the centers it was measured against; a run that reaches the cap
+    measures the distances to its last means again.
     """
     assign = np.full(X.shape[0], -1)
     for _ in range(_LLOYD_CAP):
@@ -158,22 +158,18 @@ def _lloyd(
         del d2
         counts = np.bincount(new_assign, minlength=k)
         if np.any(counts == 0):
-            centers = _cluster_means(X, new_assign, counts, centers)
-            _repair_empty(X, new_assign, centers, counts)
-            closest = None
+            _repair_empty(X, new_assign, _cluster_means(X, new_assign, counts), counts)
         if np.array_equal(new_assign, assign):
-            break
+            return assign, centers, closest
         assign = new_assign
-        centers = _cluster_means(X, assign, counts, centers)
-    else:
-        warnings.warn(
-            f"k={k}: Lloyd iterations stopped at the cap of {_LLOYD_CAP} "
-            "before the assignment settled",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        closest = None
-    return assign, centers, closest
+        centers = _cluster_means(X, assign, counts)
+    warnings.warn(
+        f"k={k}: Lloyd iterations stopped at the cap of {_LLOYD_CAP} "
+        "before the assignment settled",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return assign, centers, _sq_distances(X, x2, centers).min(axis=1)
 
 
 def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> ClusteringSolution:
@@ -199,8 +195,6 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
         rng = np.random.default_rng(child)
         centers = _kmeanspp_init(X, x2, XT, k, rng)
         assign, centers, closest = _lloyd(X, x2, centers, k)
-        if closest is None:
-            closest = _sq_distances(X, x2, centers).min(axis=1)
         distortion = float(data.weights @ closest)
         if best is None or distortion < best[0]:
             best = (distortion, assign, centers)

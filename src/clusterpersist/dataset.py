@@ -39,8 +39,9 @@ class Dataset:
     estimator's scatters are plain sums over members, and the annealing
     toolkit takes p_i = 1/N. Instances are treated as immutable: the arrays
     are private read-only copies, so the caller's arrays stay writable and a
-    later write to them cannot reach the dataset. points keeps the C or
-    Fortran order of its input and is always contiguous.
+    later write to them cannot reach the dataset. points is C-ordered
+    whatever the layout of its input, so every layout of the same values
+    gives the same bits downstream.
 
     Two fields are derived, not init arguments, read-only and left out of
     repr and ==: sq_norms holds the squared norms (points * points).sum(axis=1),
@@ -55,7 +56,7 @@ class Dataset:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("empty dataset")
         if not np.all(np.isfinite(pts)):
@@ -205,20 +206,12 @@ def gen_supercluster_grid(
     """
     if not super_spacing > sub_spacing > 0:
         raise ValueError("require super_spacing > sub_spacing > 0")
-    rng = np.random.default_rng(seed)
-    sub_cov = np.asarray(sub_cov, dtype=float)
-    super_angles = np.deg2rad([90.0, 210.0, 330.0])
-    sub_angles = np.deg2rad([30.0, 150.0, 270.0])
-    pts, labs = [], []
-    label = 0
-    for sa in super_angles:
+    means = []
+    for sa in np.deg2rad([90.0, 210.0, 330.0]):
         sc = super_spacing * np.array([np.cos(sa), np.sin(sa)])
-        for ba in sub_angles:
-            c = sc + sub_spacing * np.array([np.cos(ba), np.sin(ba)])
-            pts.append(_sample_gaussian(rng, c, sub_cov, n_per_sub))
-            labs.append(np.full(n_per_sub, label))
-            label += 1
-    return Dataset(np.vstack(pts), labels=np.concatenate(labs))
+        for ba in np.deg2rad([30.0, 150.0, 270.0]):
+            means.append(sc + sub_spacing * np.array([np.cos(ba), np.sin(ba)]))
+    return gen_gaussian_mixture(means, [sub_cov] * 9, [n_per_sub] * 9, seed)
 
 
 def gen_rings(radii: Sequence[float], n_per_ring: int, noise_sd: float, seed: int) -> Dataset:

@@ -319,12 +319,15 @@ def scatter_matrix(data: Dataset, members: np.ndarray) -> np.ndarray:
     about the member mean (the centroid of a hard cluster).
 
     Returns the plain sum of outer products of centered member points, with
-    no division by the cluster size.
+    no division by the cluster size. Copies of one point have zero scatter:
+    their mean in floating point need not be that point.
     """
     members = np.asarray(members)
     if members.size == 0:
         raise ValueError("empty cluster")
     X = data.points[members]
+    if (X == X[0]).all():
+        return np.zeros((X.shape[1], X.shape[1]))
     D = X - X.mean(axis=0)
     return D.T @ D  # syrk, one triangle copied: exactly symmetric
 

@@ -184,7 +184,8 @@ class PersistenceProfile:
     beta_bar maps k -> beta_bar_k for k = k_min-1 .. k_max (k_min defaults
     to 1, so normally 1..k_max); v maps k -> v(k) for k = max(2, k_min) ..
     k_max. critical_cluster records which cluster attained the max
-    eigenvalue at each k.
+    eigenvalue at each k. per_k_solutions maps each swept k to its
+    clustering solution.
     """
 
     k_max: int
@@ -193,7 +194,7 @@ class PersistenceProfile:
     v: Dict[int, float]
     k_t: int
     critical_cluster: Dict[int, int] = field(default_factory=dict)
-    per_k_solutions: Optional[Dict[int, ClusteringSolution]] = None
+    per_k_solutions: Dict[int, ClusteringSolution] = field(default_factory=dict)
 
     def to_csv(self) -> str:
         """Rows k, beta_bar, log_beta_bar, v (v blank on the first row)."""
@@ -225,7 +226,6 @@ def persistence_profile(
     seed: int = 0,
     sigma: Optional[float] = None,
     k_min: int = 1,
-    keep_solutions: bool = False,
 ) -> PersistenceProfile:
     """Run the clustering sweep k = k_min-1 .. k_max and assemble v(k), k_t.
 
@@ -288,8 +288,7 @@ def persistence_profile(
             raise type(e)(f"k={k}: {e}") from e
         beta_bar[k] = cb.beta
         crit[k] = cb.cluster
-        if keep_solutions:
-            sols[k] = sol
+        sols[k] = sol
 
     v: Dict[int, float] = {}
     for k in range(max(2, k_min), k_max + 1):
@@ -305,5 +304,5 @@ def persistence_profile(
         v=v,
         k_t=k_t,
         critical_cluster=crit,
-        per_k_solutions=sols if keep_solutions else None,
+        per_k_solutions=sols,
     )

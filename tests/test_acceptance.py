@@ -256,12 +256,9 @@ def test_criterion_7_phase_transition_prediction():
 
 def test_criterion_8a_scale_invariance():
     ds = blobs([(0, 0), (5, 5), (-4, 6)], 0.5, 40, seed=7)
-    base = persistence_profile(ds, k_max=6, restarts=5, seed=3, keep_solutions=True)
+    base = persistence_profile(ds, k_max=6, restarts=5, seed=3)
     for c in (0.1, 1.0, 10.0):
-        scaled = persistence_profile(
-            Dataset(c * ds.points),
-            k_max=6, restarts=5, seed=3, keep_solutions=True,
-        )
+        scaled = persistence_profile(Dataset(c * ds.points), k_max=6, restarts=5, seed=3)
         assert scaled.k_t == base.k_t
         for k in base.per_k_solutions:
             assert same_partition(

@@ -2,6 +2,8 @@ import importlib.metadata
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -421,3 +423,34 @@ def test_module_entry_point_matches_console_script():
     script = run_console_script(argv)
     assert script.returncode == 0
     assert script.stdout == res.stdout
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a code-block line that runs the CLI, installed or from the checkout
+COMMAND_LINE = re.compile(r"(?:PYTHONPATH=\S+ python -m clusterpersist\.cli|clusterpersist) (.*)")
+
+
+def readme_commands():
+    """Every CLI command in the README's code blocks and Experiments table,
+    as the arguments after the program name."""
+    text = README.read_text()
+    commands = []
+    for block in re.findall(r"^```\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            m = COMMAND_LINE.match(line)
+            if m:
+                commands.append(m.group(1))
+    table = text.split("## Experiments", 1)[1].split("\n## ", 1)[0]
+    commands += re.findall(r"^\|.*`clusterpersist ([^`]*)`", table, re.M)
+    return [re.sub(r"--seed S\b", "--seed 3", c) for c in commands]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 17
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: clusterpersist {command}")

@@ -120,6 +120,27 @@ def test_kmeans_solution_invariants(seed, n, k):
         assert np.all(d2 <= full.min(axis=1) + 1e-9)
 
 
+def test_kmeans_centroids_are_member_means_on_repeated_points(monkeypatch):
+    # points that repeat a few distinct rows leave clusters empty, so Lloyd
+    # repairs them, also in the iteration where its assignment settles
+    repairs = count_repairs(monkeypatch)
+    rng = np.random.default_rng(0)
+    for t in range(300):
+        n = int(rng.integers(4, 30))
+        m = int(rng.integers(1, n))
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(2, min(8, n) + 1))
+        ds = Dataset(rng.normal(size=(m, d))[rng.integers(0, m, size=n)])
+        with warnings.catch_warnings():
+            # a run that hits the cap also returns its member means
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = kmeans(ds, k, restarts=2, seed=t)
+        for j in range(k):
+            mean = ds.points[sol.members(j)].mean(axis=0)
+            assert np.array_equal(sol.centroids[j], mean), f"dataset {t}, cluster {j}"
+    assert repairs
+
+
 def test_solution_requires_nonempty_clusters():
     with pytest.raises(ValueError, match="nonempty"):
         ClusteringSolution(
@@ -237,15 +258,15 @@ def oracle_kmeanspp_init(X, k, rng):
     return centers
 
 
-def oracle_repair_empty(X, assign, centers, counts):
+def oracle_repair_empty(X, assign, means, counts):
     for j in np.flatnonzero(counts == 0):
-        dist = ((X - centers[assign]) ** 2).sum(axis=1)
+        dist = ((X - means[assign]) ** 2).sum(axis=1)
         dist[counts[assign] <= 1] = -np.inf
         donor = int(np.argmax(dist))
         counts[assign[donor]] -= 1
         assign[donor] = j
         counts[j] = 1
-        centers[j] = X[donor]
+        means[j] = X[donor]
 
 
 def oracle_lloyd(X, centers, k, cap=300):
@@ -254,10 +275,12 @@ def oracle_lloyd(X, centers, k, cap=300):
         new_assign = np.argmin(oracle_sq_distances(X, centers), axis=1)
         counts = np.bincount(new_assign, minlength=k)
         if np.any(counts == 0):
-            centers = np.vstack(
-                [X[new_assign == j].mean(axis=0) if counts[j] else centers[j] for j in range(k)]
-            )
-            oracle_repair_empty(X, new_assign, centers, counts)
+            # the repair measures against the means of the new assignment,
+            # held apart from the centers this assignment was measured to
+            means = np.zeros((k, X.shape[1]))
+            for j in np.flatnonzero(counts):
+                means[j] = X[new_assign == j].mean(axis=0)
+            oracle_repair_empty(X, new_assign, means, counts)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -285,19 +308,17 @@ def assert_matches_oracle(sol, want):
     assert sol.distortion == distortion
 
 
-def spy_final_distances(monkeypatch):
-    """Record, per Lloyd run, whether it handed its last distances back for
-    the distortion (True) or left kmeans to recompute them (False)."""
-    reused = []
-    real = clustering._lloyd
+def count_repairs(monkeypatch):
+    """Record each call of the empty-cluster repair."""
+    repairs = []
+    real = clustering._repair_empty
 
-    def spy(*args):
-        out = real(*args)
-        reused.append(out[2] is not None)
-        return out
+    def counted(*args):
+        repairs.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(clustering, "_lloyd", spy)
-    return reused
+    monkeypatch.setattr(clustering, "_repair_empty", counted)
+    return repairs
 
 
 def test_candidate_sq_distances_are_bitwise_the_row_sums():
@@ -315,11 +336,9 @@ def test_candidate_sq_distances_are_bitwise_the_row_sums():
 def test_kmeans_is_bitwise_the_reference(d, k, monkeypatch):
     rng = np.random.default_rng(100 * d + k)
     ds = Dataset(rng.normal(size=(300, d)) + rng.integers(0, 4, size=(300, 1)) * 3.0)
-    reused = spy_final_distances(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sol = kmeans(ds, k, restarts=3, seed=k)
-    assert reused == [True] * 3
     assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=3, seed=k))
 
 
@@ -329,28 +348,16 @@ def test_kmeans_with_empty_cluster_repair_is_bitwise_the_reference(d, monkeypatc
     # point, the repeated center wins no ties and its cluster starts empty
     rng = np.random.default_rng(d)
     ds = Dataset(np.repeat(rng.normal(size=(10, d)), 4, axis=0))
-    repairs = []
-
-    def counted(*args):
-        repairs.append(1)
-        return real(*args)
-
-    real = clustering._repair_empty
-    monkeypatch.setattr(clustering, "_repair_empty", counted)
-    reused = spy_final_distances(monkeypatch)
+    repairs = count_repairs(monkeypatch)
     sol = kmeans(ds, 12, restarts=3, seed=0)
     assert repairs
-    # every run's final iteration repaired, so its distances were stale
-    assert reused == [False] * 3
     assert_matches_oracle(sol, oracle_kmeans(ds, 12, restarts=3, seed=0))
 
 
 def test_lloyd_cap_warns_and_keeps_the_result(monkeypatch, capsys):
     ds = blobs([(0, 0), (3, 0), (0, 3)], 1.0, 40, seed=5)
     monkeypatch.setattr(clustering, "_LLOYD_CAP", 1)
-    reused = spy_final_distances(monkeypatch)
     with pytest.warns(RuntimeWarning, match=r"k=3: Lloyd iterations stopped at the cap of 1 "):
         sol = kmeans(ds, 3, restarts=2, seed=4)
-    assert reused == [False] * 2
     assert_matches_oracle(sol, oracle_kmeans(ds, 3, restarts=2, seed=4, cap=1))
     assert capsys.readouterr().out == ""

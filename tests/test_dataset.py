@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from clusterpersist import (
     Dataset,
+    gaussian_kernel,
     gen_gaussian_mixture,
     gen_rings,
     gen_spirals,
@@ -12,6 +13,7 @@ from clusterpersist import (
     gen_two_disks,
     load_csv,
     normalize_zscore,
+    persistence_profile,
 )
 from helpers import DATA_DIR, blobs
 
@@ -59,6 +61,18 @@ def test_dataset_copies_the_callers_arrays():
     assert ds.sq_norms[0] == 0.0
     assert ds.labels[0] == 0
     assert not (ds.points.flags.writeable or ds.weights.flags.writeable or ds.labels.flags.writeable)
+
+
+def test_dataset_bits_do_not_depend_on_the_input_layout():
+    # a 30-value row is summed pairwise when contiguous but left to right
+    # along a Fortran-ordered row, so a kept input layout changes last bits
+    ds = normalize_zscore(load_csv(DATA_DIR / "wisconsin.csv", label_column=30))
+    fortran = Dataset(np.asfortranarray(ds.points))
+    assert fortran.points.flags.c_contiguous
+    assert fortran.sq_norms.tobytes() == ds.sq_norms.tobytes()
+    assert gaussian_kernel(fortran, 2.0).tobytes() == gaussian_kernel(ds, 2.0).tobytes()
+    want = persistence_profile(ds, k_max=4, restarts=2, seed=0).to_csv()
+    assert persistence_profile(fortran, k_max=4, restarts=2, seed=0).to_csv() == want
 
 
 def test_zscore_two_point_column():

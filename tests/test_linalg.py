@@ -520,13 +520,13 @@ def test_gaussian_kernel_is_exactly_symmetric_and_bitwise_the_oracle(n, d):
     # X @ X.T is syrk, one triangle copied, for C- and Fortran-ordered
     # points, but gemm on copies for points strided in both axes, which is
     # not exactly symmetric from about 300 points. Dataset keeps a
-    # contiguous copy of any layout, so the kernel is exactly symmetric
+    # C-ordered copy of any layout, so the kernel is exactly symmetric
     # unsymmetrized, and the oracle's symmetrization leaves it unchanged
     rng = np.random.default_rng(n + d)
     for X in layouts(rng, n, d):
         K = gaussian_kernel(Dataset(X), 0.7)
         assert np.array_equal(K, K.T)
-        assert np.array_equal(K, oracle_gaussian_kernel(np.array(X), 0.7))
+        assert np.array_equal(K, oracle_gaussian_kernel(np.ascontiguousarray(X), 0.7))
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (17, 2), (150, 4), (300, 30)])

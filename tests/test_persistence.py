@@ -90,6 +90,15 @@ def test_kernel_critical_beta_equals_linear_for_linear_kernel():
     assert b.cluster == a.cluster
 
 
+def test_clusters_of_identical_points_are_unbounded():
+    # the mean of three copies of 0.1 is not 0.1 in floating point, so a
+    # scatter about it would be rounding noise, not zero
+    ds = Dataset([[0.1, 0.7]] * 3 + [[5.1, 2.3]] * 3)
+    sol = kmeans(ds, 2, restarts=2, seed=0)
+    with pytest.raises(ValueError, match="resolution unbounded; reduce k_max"):
+        critical_beta(sol, ds)
+
+
 def test_identical_points_error_names_the_failing_k():
     ds = Dataset(np.full((6, 2), 2.0))
     with pytest.raises(ValueError, match=r"k=1: resolution unbounded"):
@@ -118,11 +127,8 @@ def test_k_t_is_smallest_argmax():
 @pytest.mark.parametrize("c", [0.1, 10.0])
 def test_profile_scale_invariance(c, tmp_path):
     ds = blobs([(0, 0), (5, 5), (-4, 6)], 0.5, 40, seed=7)
-    base = persistence_profile(ds, k_max=6, restarts=5, seed=3, keep_solutions=True)
-    scaled_ds = Dataset(c * ds.points)
-    scaled = persistence_profile(
-        scaled_ds, k_max=6, restarts=5, seed=3, keep_solutions=True
-    )
+    base = persistence_profile(ds, k_max=6, restarts=5, seed=3)
+    scaled = persistence_profile(Dataset(c * ds.points), k_max=6, restarts=5, seed=3)
     assert scaled.k_t == base.k_t
     for k in base.per_k_solutions:
         assert same_partition(
@@ -258,13 +264,14 @@ def test_profile_json_round_trip():
     assert doc["v"]["3"] == prof.v[3]
 
 
-def test_profile_keep_solutions_flag():
+def test_profile_keeps_the_solution_of_every_swept_k():
     ds = blobs([(0, 0), (5, 5)], 0.3, 20, seed=0)
-    kept = persistence_profile(ds, k_max=3, restarts=3, seed=0, keep_solutions=True)
-    assert set(kept.per_k_solutions) == {1, 2, 3}
-    assert kept.per_k_solutions[2].k == 2
-    plain = persistence_profile(ds, k_max=3, restarts=3, seed=0)
-    assert plain.per_k_solutions is None
+    prof = persistence_profile(ds, k_max=3, restarts=3, seed=0)
+    assert set(prof.per_k_solutions) == {1, 2, 3}
+    assert all(sol.k == k for k, sol in prof.per_k_solutions.items())
+    # a narrowed sweep starts at k_min - 1
+    narrow = persistence_profile(ds, k_max=5, restarts=3, seed=0, k_min=3)
+    assert set(narrow.per_k_solutions) == {2, 3, 4, 5}
 
 
 def unpruned_critical_beta(solution, build):
@@ -429,9 +436,7 @@ def test_block_the_sweep_sets_aside_still_solves_on_its_own():
     # at k=3 one kernel block's bound is below the k=3 maximum, so the sweep
     # sets it aside; solved on its own, the block must still match eigvalsh
     ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 80, 0.01, seed=0))
-    prof = persistence_profile(
-        ds, k_max=5, mode="kernel", sigma=0.15, restarts=4, seed=1, keep_solutions=True
-    )
+    prof = persistence_profile(ds, k_max=5, mode="kernel", sigma=0.15, restarts=4, seed=1)
     assert prof.k_t == 2
     K = gaussian_kernel(ds, 0.15)
     stuck = kernel_scatter_matrix(K, prof.per_k_solutions[3].members(2))
