@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -250,6 +251,30 @@ def test_da_trace_gaussians(capsys, tmp_path):
     code2, again, _ = run_cli(argv, capsys)
     assert code2 == 0
     assert again == out
+
+
+# The sha256 of the stdout of three README commands (the Experiments table's
+# profile form for the first two). Identical arguments give byte-identical
+# output (README, Determinism), so a change that moves any output bit fails
+# here and has to re-record the digest and say why.
+PINNED_STDOUT = [
+    ("profile --gen superclusters --super-spacing 5 --k-max 12",
+     "2afa212bd4303248a2f9272f431d8e0eb9c0656f5c9f97396008d190b6a6c07c"),
+    ("profile --input {data}/iris.csv --label-col 4 --k-max 10",
+     "c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0"),
+    ("da-trace --gen gaussians4 --output {tmp}/trace.csv",
+     "6d99c50a2d8b7bd81e60ba6bf639d5fa9bdf41d82a990bb19c2665b43ef7bd4f"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, digest", PINNED_STDOUT, ids=["superclusters", "iris", "da-trace"]
+)
+def test_readme_command_stdout_is_pinned(command, digest, capsys, tmp_path):
+    argv = shlex.split(command.format(data=DATA_DIR, tmp=tmp_path))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):

@@ -269,7 +269,9 @@ def oracle_repair_empty(X, assign, means, counts):
         means[j] = X[donor]
 
 
-def oracle_lloyd(X, centers, k, cap=300):
+def oracle_lloyd(X, centers, k, cap=300, updates=None):
+    """updates, when given, collects (assignment before, assignment after,
+    centers after) for each update of the centers."""
     assign = np.full(X.shape[0], -1)
     for _ in range(cap):
         new_assign = np.argmin(oracle_sq_distances(X, centers), axis=1)
@@ -283,8 +285,10 @@ def oracle_lloyd(X, centers, k, cap=300):
             oracle_repair_empty(X, new_assign, means, counts)
         if np.array_equal(new_assign, assign):
             break
-        assign = new_assign
+        before, assign = assign, new_assign
         centers = np.vstack([X[assign == j].mean(axis=0) for j in range(k)])
+        if updates is not None:
+            updates.append((before, assign, centers))
     return assign, centers
 
 
@@ -340,6 +344,102 @@ def test_kmeans_is_bitwise_the_reference(d, k, monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         sol = kmeans(ds, k, restarts=3, seed=k)
     assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=3, seed=k))
+
+
+def grid_blobs(side, sd, n_per, seed):
+    """Tight Gaussian blobs on a side x side grid of unit spacing."""
+    return blobs([(float(i), float(j)) for i in range(side) for j in range(side)], sd, n_per, seed)
+
+
+@pytest.mark.parametrize("case", ["grid-k99", "d13-k60", "d13-k1"])
+def test_kmeans_is_bitwise_the_reference_across_row_blocks(case):
+    # Lloyd refreshes its distance matrix in row blocks and, after the first
+    # two passes, only the columns of the clusters that changed; the oracle
+    # measures every distance in one product. A single column (k = 1) split
+    # into blocks goes through gemv and changes a few distances, by too
+    # little to move the distortion, so every distance is compared.
+    if case == "grid-k99":
+        ds, k = grid_blobs(10, 0.1, 50, seed=1), 99
+    else:
+        k = 60 if case == "d13-k60" else 1
+        # halves of 40,000 rows split on an aligned row and keep their bits;
+        # a split of 40,003 rows changes a distance
+        n = 3000 if k > 1 else 40_003
+        rng = np.random.default_rng(n + k)
+        ds = Dataset(rng.normal(size=(n, 13)) + rng.integers(0, 6, size=(n, 1)) * 2.0)
+    # more rows than one block of k columns holds
+    assert ds.n > clustering._BLOCK_BYTES // (8 * k)
+    X = ds.points
+    centers = oracle_kmeanspp_init(X, k, np.random.default_rng(k))
+    assign, means, closest = clustering._lloyd(X, ds.sq_norms, centers, k)
+    want_assign, want_means = oracle_lloyd(X, centers, k)
+    np.testing.assert_array_equal(assign, want_assign)
+    assert means.tobytes() == want_means.tobytes()
+    assert closest.tobytes() == oracle_sq_distances(X, want_means).min(axis=1).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = kmeans(ds, k, restarts=2, seed=k)
+    assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=2, seed=k))
+
+
+def test_lloyd_refreshes_only_the_columns_of_touched_clusters(monkeypatch):
+    # on a grid of blobs, after the first two passes only a few clusters gain
+    # or lose a point; each pass must measure just their columns, never one
+    # column alone (gemv), and in blocks of two or more rows
+    ds, k = grid_blobs(6, 0.15, 60, seed=1), 34
+    X, x2 = ds.points, ds.sq_norms
+    centers = clustering._kmeanspp_init(X, x2, clustering._scoring_copy(X), k, np.random.default_rng(k))
+    calls = []
+    real = clustering._sq_distances
+
+    def spied(Xb, x2b, C):
+        calls.append((len(Xb), C.copy()))
+        return real(Xb, x2b, C)
+
+    monkeypatch.setattr(clustering, "_sq_distances", spied)
+    assign, _, _ = clustering._lloyd(X, x2, centers, k)
+    updates = []
+    want_assign, _ = oracle_lloyd(X, centers, k, updates=updates)
+    np.testing.assert_array_equal(assign, want_assign)
+    # one pass per update, plus the first against the seeds
+    passes, rows = [], 0
+    for n_rows, C in calls:
+        assert n_rows >= 2 and len(C) >= 2
+        if rows == 0:
+            passes.append(C)
+        assert C.tobytes() == passes[-1].tobytes()
+        rows = (rows + n_rows) % ds.n
+    assert rows == 0
+    assert len(passes) == len(updates) + 1 >= 4
+    assert passes[0].tobytes() == centers.tobytes()
+    for p, (before, after, means) in enumerate(updates, start=1):
+        moved = before != after
+        touched = np.union1d(before[moved], after[moved])
+        touched = touched[touched >= 0]
+        assert passes[p].tobytes() == means[touched].tobytes(), f"pass {p + 1}"
+        if p >= 2:
+            assert len(touched) < k
+    assert sum(len(C) for C in passes[2:]) < k * len(passes[2:]) / 4
+
+
+def test_lloyd_stops_when_the_assignment_cycles(monkeypatch):
+    # 17 copies of one point at k = 2. The mean of the copies is not bitwise
+    # the point, so the singleton the empty-cluster repair makes is nearer to
+    # every copy; all move to it, the other cluster empties, and the labels
+    # swap on every pass. Each assignment fixes the next, so the run cycles.
+    ds = Dataset(np.tile([-0.5439981304035021, -0.04405912149974852], (17, 1)))
+    calls = []
+    real = clustering._sq_distances
+    monkeypatch.setattr(
+        clustering, "_sq_distances", lambda *args: calls.append(1) or real(*args)
+    )
+    with pytest.warns(RuntimeWarning, match="k=2: Lloyd iterations stopped in a cycle of two"):
+        sol = kmeans(ds, 2, restarts=2, seed=42)
+    # per restart one seeding distance and at most four passes
+    assert len(calls) <= 2 * 5
+    assert sorted(np.bincount(sol.assignment).tolist()) == [1, 16]
+    for j in range(2):
+        assert np.array_equal(sol.centroids[j], ds.points[sol.members(j)].mean(axis=0))
 
 
 @pytest.mark.parametrize("d", [2, 13])
