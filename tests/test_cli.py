@@ -278,11 +278,11 @@ def test_readme_command_stdout_is_pinned(command, digest, capsys, tmp_path):
 
 
 def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):
-    runs = []
+    traces = []
 
     def recorded(*args, **kwargs):
-        runs.append((args, kwargs))
-        return anneal(*args, **kwargs)
+        traces.append(anneal(*args, **kwargs))
+        return traces[-1]
 
     monkeypatch.setattr(cli, "anneal", recorded)
     out_path = tmp_path / "trace.csv"
@@ -290,8 +290,8 @@ def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):
         ["da-trace", "--gen", "two-disks", "--n", "100", "--output", str(out_path)], capsys
     )
     assert code == 0
-    (args, kwargs), = runs
-    assert out_path.read_bytes() == anneal(*args, **kwargs).to_csv().encode()
+    trace, = traces
+    assert out_path.read_bytes() == trace.to_csv().encode()
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])

@@ -84,6 +84,17 @@ def test_kmeans_validation():
         kmeans(ds, 2, restarts=0)
 
 
+@pytest.mark.parametrize("scale", [1e153, 1e160])
+def test_kmeans_rejects_points_whose_squared_distances_overflow(scale):
+    # at 1e153 the D^2 total overflows to inf; at 1e160 the squared norms
+    # do, and the distances come out NaN
+    with np.errstate(over="ignore"):
+        ds = Dataset(np.random.default_rng(0).normal(size=(50, 2)) * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflow .* rescale the data"):
+            kmeans(ds, 3)
+
+
 def test_kmeans_fills_every_cluster_on_duplicated_points():
     X = np.repeat(np.array([[0.0, 0.0], [10.0, 10.0]]), 6, axis=0)
     sol = kmeans(Dataset(X), 3, restarts=3, seed=0)
@@ -325,14 +336,49 @@ def count_repairs(monkeypatch):
     return repairs
 
 
-def test_candidate_sq_distances_are_bitwise_the_row_sums():
+def test_d2_sampler_is_generator_choice():
+    # the same indices and the same generator state as choice; a numpy whose
+    # choice samples another way fails here
+    rng = np.random.default_rng(11)
+    for case in range(3000):
+        seed = int(rng.integers(2**32))
+        n = 2 if case % 5 == 0 else int(rng.integers(2, 80))
+        d2 = rng.exponential(size=n) * 10.0 ** rng.integers(-8, 9)
+        if case % 5 == 1:
+            d2[rng.random(n) < 0.6] = 0.0
+            d2[rng.integers(n)] = rng.exponential()
+        elif case % 5 == 2:
+            d2 = np.zeros(n)
+            d2[rng.integers(n)] = 10.0 ** rng.integers(-8, 9)
+        elif case % 5 == 3:
+            # the first uniform lands exactly on the step of the cdf, where
+            # searchsorted's side decides the index
+            while (u := np.random.default_rng(seed).random()) < 0.5:
+                seed += 1
+            d2 = np.array([u, 1.0 - u])
+        n, total, trials = len(d2), d2.sum(), int(rng.integers(1, 8))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = want_rng.choice(n, size=trials, p=d2 / total)
+        got = clustering._sample_d2(d2, total, trials, got_rng, np.empty(n))
+        assert got.dtype == want.dtype and np.array_equal(got, want), f"case {case}"
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"case {case}"
+
+
+def test_candidate_scores_are_bitwise_the_row_sums():
     rng = np.random.default_rng(3)
     for d in range(1, 41):
         X = rng.normal(size=(500, d)) * rng.uniform(0.1, 10.0, size=d)
         XT = clustering._scoring_copy(X)
-        for c in (0, 17, 499):
-            got = clustering._candidate_sq_distances(X, XT, c)
-            assert np.array_equal(got, ((X - X[c]) ** 2).sum(axis=1)), f"d={d}, c={c}"
+        # scratch arrays shared by every candidate set, as the draws share them
+        out = np.empty((6, 500))
+        diff = np.empty(X.shape if XT is None else out.shape)
+        for cand in ([0], [17, 499, 17], [3] * 6, rng.integers(0, 500, size=6), [499, 0]):
+            cand = np.asarray(cand)
+            got = clustering._score_candidates(X, XT, cand, out, diff)
+            assert got.shape == (len(cand), 500)
+            for row, c in zip(got, cand):
+                want = ((X - X[c]) ** 2).sum(axis=1)
+                assert row.tobytes() == want.tobytes(), f"d={d}, cand={cand.tolist()}, c={c}"
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 30])
