@@ -7,7 +7,8 @@ one posterior evaluation per step. The persistence estimator never calls
 this module; it verifies that the predicted critical resolution
 1/(2 lambda_max(C)) matches where splits actually happen.
 
-Every point carries the mass p_i = 1/N, read from Dataset.weights: the
+Every point carries the mass p_i = 1/N, read from Dataset.weights (the
+fixed point scales by the scalar 1/N, which is each of its entries): the
 estimator's scatters are unweighted, and so are the predictions checked here.
 
 The logits are one C-contiguous (k, N) array built on Dataset.sq_norms, so
@@ -26,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import _sq_distances, largest_eigenvalue
+from .linalg import _norm, largest_eigenvalue
 
 __all__ = [
     "AnnealTrace",
@@ -94,12 +95,20 @@ def _row_order_sum(T: np.ndarray) -> np.ndarray:
 def _shifted_logits(data: Dataset, centroids: np.ndarray, beta: float):
     """aT - m and m, where aT[j, i] = -beta ||x_i - y_j||^2 is one C-contiguous
     (k, N) array and m[i] is the max over j (exact in any order). numpy
-    reduces over k rows of N values far faster than along N rows of k."""
+    reduces over k rows of N values far faster than along N rows of k.
+
+    Each distance takes the rounded steps of linalg._sq_distances,
+    (||y||^2 + ||x||^2) - 2 x.y clipped at 0: the sum commutes and the
+    doubling is exact, so the (k, N) layout keeps every bit."""
     Y = np.atleast_2d(centroids)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != data.d:
         raise ValueError(f"centroids must be a nonempty (k, {data.d}) array")
-    d2 = _sq_distances(data.points, data.sq_norms, Y)
-    aT = np.multiply(-beta, d2.T, order="C")
+    G = data.points @ Y.T
+    G *= 2.0
+    aT = (Y * Y).sum(axis=1)[:, None] + data.sq_norms
+    aT -= G.T
+    np.maximum(aT, 0.0, out=aT)
+    aT *= -beta
     m = aT.max(axis=0)
     aT -= m
     return aT, m
@@ -146,14 +155,16 @@ def da_fixed_point(
         raise ValueError("beta must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    X, w = data.points, data.weights
+    X, w = data.points, 1.0 / data.n  # every entry of data.weights
     Y = np.atleast_2d(np.asarray(centroids_init, dtype=float)).copy()
     for _ in range(max_iter):
-        wP = w[:, None] * gibbs_associations(data, Y, beta)
+        wP = gibbs_associations(data, Y, beta)
+        wP *= w
         mass = wP.sum(axis=0)
-        Ynew = Y.copy()
+        Ynew = wP.T @ X
         nz = mass > 0
-        Ynew[nz] = (wP.T @ X)[nz] / mass[nz, None]
+        np.divide(Ynew, mass[:, None], out=Ynew, where=nz[:, None])
+        np.copyto(Ynew, Y, where=~nz[:, None])
         move = float(np.abs(Ynew - Y).max())
         Y = Ynew
         if move < tol:
@@ -217,7 +228,7 @@ def _group_centroids(Y: np.ndarray, thresh: float) -> Tuple[np.ndarray, np.ndarr
     idx = np.empty(Y.shape[0], dtype=int)
     for i, y in enumerate(Y):
         for g, members in enumerate(groups):
-            if np.linalg.norm(y - Y[members[0]]) < thresh:
+            if _norm(y - Y[members[0]]) < thresh:
                 members.append(i)
                 idx[i] = g
                 break

@@ -46,8 +46,9 @@ class Dataset:
     Two fields are derived, not init arguments, read-only and left out of
     repr and ==: sq_norms holds the squared norms (points * points).sum(axis=1),
     computed once here for k-means, the annealing toolkit and the Gaussian
-    kernel; weights holds the uniform point masses p_i = 1/N that the
-    annealing toolkit and the k-means distortion read.
+    kernel (points whose squared norms overflow raise ValueError); weights
+    holds the uniform point masses p_i = 1/N that the annealing toolkit and
+    the k-means distortion read.
     """
 
     points: np.ndarray
@@ -69,7 +70,10 @@ class Dataset:
             if lab.shape != (n,):
                 raise ValueError("labels length does not match points")
             lab.setflags(write=False)
-        sq = (pts * pts).sum(axis=1)
+        with np.errstate(over="ignore"):
+            sq = (pts * pts).sum(axis=1)
+        if not np.all(np.isfinite(sq)):
+            raise ValueError("squared norms of the points overflow to inf; rescale the data")
         pts.setflags(write=False)
         w.setflags(write=False)
         sq.setflags(write=False)

@@ -8,6 +8,7 @@ from clusterpersist import (
     anneal,
     da_fixed_point,
     free_energy,
+    gen_gaussian_mixture,
     gen_two_disks,
     gibbs_associations,
     hessian_quadratic_form,
@@ -416,7 +417,9 @@ def oracle_datasets():
     """One dataset with centroid sets of one to five rows, coincident rows
     and one far from every point included, and sets of 8, 9, 17 and 129
     rows, which numpy sums with eight running sums and, above 128, by
-    halves."""
+    halves. Then the da_trace benchmark's shape: four Gaussians, N = 1000,
+    whose first split is near beta = 0.02, with 1, 2, 4 and 8 centroids; from
+    two on the last is far from every point, so at beta = 1 its mass is zero."""
     rng = np.random.default_rng(11)
     wide = np.random.default_rng(13)
     ds = blobs([(0, 0), (4, 1), (1, 5)], 0.7, 20, seed=3)
@@ -433,6 +436,15 @@ def oracle_datasets():
         Y[1] = Y[0]
         Y[-1] = (40.0, -30.0)
         yield ds, Y
+    cov = 0.25 * np.eye(2)
+    big = gen_gaussian_mixture([(-5, -5), (-5, 5), (5, -5), (5, 5)], [cov] * 4, [250] * 4, 0)
+    for k in (1, 2, 4, 8):
+        Y = big.points[rng.choice(big.n, size=k, replace=False)] + rng.normal(size=(k, 2))
+        if k >= 2:
+            Y[-1] = (400.0, -300.0)
+        if k >= 4:
+            Y[1] = Y[0]
+        yield big, Y
 
 
 ORACLE_BETAS = (0.0, 1e-3, 1.0, 1e3)

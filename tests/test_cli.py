@@ -254,27 +254,32 @@ def test_da_trace_gaussians(capsys, tmp_path):
 
 
 # The sha256 of the stdout of three README commands (the Experiments table's
-# profile form for the first two). Identical arguments give byte-identical
-# output (README, Determinism), so a change that moves any output bit fails
-# here and has to re-record the digest and say why.
+# profile form for the first two), and of the file the da-trace command
+# writes, whose free energies the stdout does not show. Identical arguments
+# give byte-identical output (README, Determinism), so a change that moves
+# any output bit fails here and has to re-record the digest and say why.
 PINNED_STDOUT = [
     ("profile --gen superclusters --super-spacing 5 --k-max 12",
-     "2afa212bd4303248a2f9272f431d8e0eb9c0656f5c9f97396008d190b6a6c07c"),
+     "2afa212bd4303248a2f9272f431d8e0eb9c0656f5c9f97396008d190b6a6c07c", None),
     ("profile --input {data}/iris.csv --label-col 4 --k-max 10",
-     "c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0"),
+     "c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0", None),
     ("da-trace --gen gaussians4 --output {tmp}/trace.csv",
-     "6d99c50a2d8b7bd81e60ba6bf639d5fa9bdf41d82a990bb19c2665b43ef7bd4f"),
+     "6d99c50a2d8b7bd81e60ba6bf639d5fa9bdf41d82a990bb19c2665b43ef7bd4f",
+     "7e3011289c975993b95f0688c67f57c8d22e153dbf6254de2e15b2adc2ce904b"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, digest", PINNED_STDOUT, ids=["superclusters", "iris", "da-trace"]
+    "command, digest, file_digest", PINNED_STDOUT, ids=["superclusters", "iris", "da-trace"]
 )
-def test_readme_command_stdout_is_pinned(command, digest, capsys, tmp_path):
+def test_readme_command_stdout_is_pinned(command, digest, file_digest, capsys, tmp_path):
     argv = shlex.split(command.format(data=DATA_DIR, tmp=tmp_path))
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+    if file_digest is not None:
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == file_digest
 
 
 def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):

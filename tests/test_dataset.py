@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,22 @@ def test_dataset_rejects_nonfinite():
         Dataset(np.array([[1.0], [np.nan]]))
     with pytest.raises(ValueError, match="NaN or Inf"):
         Dataset(np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e160])
+def test_dataset_rejects_points_whose_squared_norms_overflow(scale):
+    # finite points whose squared norms are inf: every distance built on them
+    # is inf or NaN, and kmeans at k = 1 would give a NaN distortion. The
+    # error comes without an overflow warning.
+    X = np.random.default_rng(0).normal(size=(50, 2)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow .* rescale the data"):
+            Dataset(X)
+        # each square is finite here, only their sum overflows
+        with pytest.raises(ValueError, match="overflow .* rescale the data"):
+            Dataset(np.array([[1.0, 2.0], [1e154, 1e154]]))
+        Dataset(X / scale * 1e150)
 
 
 def test_dataset_label_length_validation():
