@@ -7,6 +7,11 @@ one posterior evaluation per step. The persistence estimator never calls
 this module; it verifies that the predicted critical resolution
 1/(2 lambda_max(C)) matches where splits actually happen.
 
+The centroid map is an EM step, and near each phase transition it slows to
+a crawl (critical slowing). The fixed point is therefore solved by SQUAREM
+(Varadhan & Roland, Scand. J. Statist. 2008), which extrapolates along two
+map evaluations and keeps the plain iteration's convergence test.
+
 Every point carries the mass p_i = 1/N, read from Dataset.weights (the
 fixed point scales by the scalar 1/N, which is each of its entries): the
 estimator's scatters are unweighted, and so are the predictions checked here.
@@ -143,13 +148,21 @@ def da_fixed_point(
     max_iter: int = 1000,
     accept: Optional[float] = None,
 ) -> np.ndarray:
-    """Iterate y_j <- sum_i p_i p(j|i) x_i / sum_i p_i p(j|i) to convergence.
+    """Solve y_j = sum_i p_i p(j|i) x_i / sum_i p_i p(j|i), the centroid map
+    F, by SQUAREM (scheme SqS3; Varadhan & Roland, Scand. J. Statist. 2008).
 
-    Convergence is maximum centroid movement below tol; exceeding max_iter
-    raises with the last movement as the residual. Right at a phase
-    transition the iteration slows to a crawl, so callers that only need
-    positions resolved to a coarser scale can pass accept: a final movement
-    at or below it is returned instead of raising.
+    F is an EM step, which crawls near a phase transition (critical
+    slowing). Each cycle evaluates Y1 = F(Y) and Y2 = F(Y1), takes
+    r = Y1 - Y, v = (Y2 - Y1) - r and alpha = min(-|r|/|v|, -1), and goes on
+    from Y - 2 alpha r + alpha^2 v; alpha = -1 gives Y2 itself, which is
+    also taken when v = 0 or the extrapolated point is not finite.
+
+    max_iter counts evaluations of F. The movement test is the plain
+    iteration's: after each evaluation, F(Y) is returned once the maximum
+    centroid movement max|F(Y) - Y| is below tol; exceeding max_iter raises
+    with the last movement as the residual. Callers that only need positions
+    resolved to a coarser scale can pass accept: a final movement at or below
+    it is returned instead of raising.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
@@ -157,6 +170,7 @@ def da_fixed_point(
         raise ValueError("max_iter must be at least 1")
     X, w = data.points, 1.0 / data.n  # every entry of data.weights
     Y = np.atleast_2d(np.asarray(centroids_init, dtype=float)).copy()
+    Y0 = Y1 = None  # the cycle's start and first image, once F(Y0) is known
     for _ in range(max_iter):
         wP = gibbs_associations(data, Y, beta)
         wP *= w
@@ -166,12 +180,27 @@ def da_fixed_point(
         np.divide(Ynew, mass[:, None], out=Ynew, where=nz[:, None])
         np.copyto(Ynew, Y, where=~nz[:, None])
         move = float(np.abs(Ynew - Y).max())
-        Y = Ynew
         if move < tol:
-            return Y
+            return Ynew
+        if Y1 is None:
+            Y0, Y1, Y = Y, Ynew, Ynew
+        else:
+            Y, Y1 = _squarem_step(Y0, Y1, Ynew), None
     if accept is not None and move <= accept:
-        return Y
+        return Ynew
     raise RuntimeError(f"fixed point did not converge: residual {move:.3e}")
+
+
+def _squarem_step(Y0: np.ndarray, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray:
+    """The SqS3 extrapolation from Y0 through Y1 = F(Y0) and Y2 = F(Y1)."""
+    r = Y1 - Y0
+    v = (Y2 - Y1) - r
+    nv = _norm(v)
+    if nv == 0.0:
+        return Y2
+    alpha = min(-_norm(r) / nv, -1.0)
+    Y = Y0 - 2.0 * alpha * r + alpha * alpha * v
+    return Y if np.isfinite(Y).all() else Y2
 
 
 def posterior_covariance(data: Dataset, centroids: np.ndarray, beta: float, j: int) -> np.ndarray:
@@ -282,11 +311,12 @@ def anneal(
                 u = -u
             cand[2 * g] = centers[g] + offset * u
             cand[2 * g + 1] = centers[g] - offset * u
-        # critical slowing right at a transition can leave the movement well
-        # above tol at the cap. The residual movement bounds how undecided the
-        # candidate pair still is, so anything below the grouping threshold
-        # yields consistent grouping; a borderline pair is settled by the next
-        # schedule step, costing one ratio step of detection lag.
+        # SQUAREM reaches tol well inside the cap even through the critical
+        # slowing at a transition; should the cap still end a solve, the
+        # residual movement bounds how undecided the candidate pair is, so
+        # anything below the grouping threshold yields consistent grouping and
+        # a borderline pair is settled by the next schedule step, costing one
+        # ratio step of detection lag.
         Y = da_fixed_point(
             data, cand, beta, tol=1e-9 * diam, max_iter=_FP_CAP, accept=0.5 * thresh
         )

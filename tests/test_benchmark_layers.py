@@ -81,9 +81,12 @@ def small_case():
 def test_fixed_point_calls_the_public_posterior_once_per_iteration(monkeypatch):
     ds, Y = small_case()
     calls = counting_gibbs(monkeypatch)
-    # tol 0 never converges, so exactly max_iter iterations run
-    annealing.da_fixed_point(ds, Y, 0.5, tol=0.0, max_iter=7, accept=np.inf)
-    assert len(calls) == 7
+    # tol 0 never converges, so exactly max_iter map evaluations run, also
+    # when the cap falls inside a two-evaluation SQUAREM cycle
+    for cap in (1, 2, 3, 7):
+        calls.clear()
+        annealing.da_fixed_point(ds, Y, 0.5, tol=0.0, max_iter=cap, accept=np.inf)
+        assert len(calls) == cap
     # a converging run: its iteration count is the smallest cap it meets
     iterations = next(n for n in range(1, 500) if _converges(ds, Y, n))
     calls.clear()

@@ -18,7 +18,7 @@ except ModuleNotFoundError:  # Python 3.10
 import numpy as np
 import pytest
 
-from clusterpersist import anneal, cli
+from clusterpersist import anneal, annealing, cli
 from clusterpersist.cli import main
 from helpers import DATA_DIR
 
@@ -265,7 +265,7 @@ PINNED_STDOUT = [
      "c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0", None),
     ("da-trace --gen gaussians4 --output {tmp}/trace.csv",
      "6d99c50a2d8b7bd81e60ba6bf639d5fa9bdf41d82a990bb19c2665b43ef7bd4f",
-     "7e3011289c975993b95f0688c67f57c8d22e153dbf6254de2e15b2adc2ce904b"),
+     "28253f21b9cc0af71e5284f46d462591c4d3e075530fb335db649a7521d34a17"),
 ]
 
 
@@ -297,6 +297,19 @@ def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):
     assert code == 0
     trace, = traces
     assert out_path.read_bytes() == trace.to_csv().encode()
+
+
+def test_da_trace_two_disks_meets_every_fixed_point_before_the_cap(capsys, monkeypatch):
+    # without accept, a fixed point that ends at the iteration cap raises
+    # instead of returning its residual movement, and the command fails
+    fixed_point = annealing.da_fixed_point
+
+    def strict(*args, accept=None, **kwargs):
+        return fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(annealing, "da_fixed_point", strict)
+    code, _, err = run_cli(["da-trace", "--gen", "two-disks", "--n", "100"], capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
