@@ -2,13 +2,16 @@
 
 Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
 
-* cyclic Jacobi for small matrices (feature-space scatters are d x d with
-  small d), giving the full spectrum at machine precision. Each rotation
-  turns two rows of A, then the same two columns of A and of V, stacked in
-  one array, in place; the rotation order and the elementwise formulas are
-  fixed, so the eigenpairs are bitwise stable;
-* Lanczos with full reorthogonalization for large kernel blocks, where only
-  the top eigenpair is needed. The top eigenvalue of each tridiagonal
+* cyclic Jacobi for orders up to 5, where it is the faster solver (the 2 x 2
+  scatters of planar data, iris's 4 x 4 ones), giving the full spectrum at
+  machine precision. Each rotation turns two rows of A, then the same two
+  columns of A and of V, stacked in one array, in place; the rotation order
+  and the elementwise formulas are fixed, so the eigenpairs are bitwise
+  stable. jacobi_eigh itself takes any order;
+* Lanczos with full reorthogonalization for every larger order, scatters of
+  wider data and kernel blocks alike, where only the top eigenpair is
+  needed: at most n matrix-vector products against the n(n-1)/2 rotations
+  of each Jacobi sweep. The top eigenvalue of each tridiagonal
   projection comes from Sturm bisection and its eigenvector from inverse
   iteration; the result is the Rayleigh quotient of the Ritz vector,
   certified by its explicit residual. After a Krylov block breaks down, the
@@ -35,7 +38,11 @@ __all__ = [
     "gaussian_kernel",
 ]
 
-_JACOBI_MAX_ORDER = 64
+# The order up to which Jacobi solves faster than Lanczos: median time per
+# solve of 20 random scatters D^T D (D of 3n+5 centered rows), jacobi_eigh
+# against _lanczos, on one OpenBLAS thread, 2-core x86-64 with SkylakeX
+# kernels; 0.61 against 0.64 ms at order 5, 1.00 against 0.86 ms at 6.
+_JACOBI_MAX_ORDER = 5
 _LANCZOS_RTOL = 1e-10   # Ritz residual, relative to ||M||_inf, that ends a block
 _CERTIFIED_RTOL = 1e-8  # explicit residual bound, relative to max(1, ||M||_inf)
 _EPS = float(np.finfo(float).eps)
@@ -298,9 +305,11 @@ def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
 def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     """Largest (algebraic) eigenvalue and a unit eigenvector of a symmetric M.
 
-    Orders up to _JACOBI_MAX_ORDER are solved by cyclic Jacobi, larger ones
-    by Lanczos, whose eigenvalue is the Rayleigh quotient v^T M v of the
-    returned vector. The residual ||Mv - lambda v|| is at most
+    Orders up to _JACOBI_MAX_ORDER (5), where it is the faster solver, are
+    solved by cyclic Jacobi, larger ones by Lanczos, whose eigenvalue is the
+    Rayleigh quotient v^T M v of the returned vector and whose bits, built
+    on matrix-vector products, hold for one BLAS build, kernel and thread
+    count. The residual ||Mv - lambda v|| is at most
     1e-8 * max(1, ||M||_inf); a Lanczos pair that misses this bound raises
     RuntimeError with its residual. A matrix that is not square, not finite
     or not symmetric raises ValueError first; one within the symmetry

@@ -11,11 +11,14 @@ from clusterpersist import (
     gen_two_disks,
     kernel_scatter_matrix,
     largest_eigenvalue,
+    load_csv,
+    normalize_zscore,
+    persistence_profile,
     scatter_matrix,
 )
 import clusterpersist.linalg as linalg
 from clusterpersist.linalg import _JACOBI_MAX_ORDER, _norm, jacobi_eigh
-from helpers import blobs, sym
+from helpers import DATA_DIR, blobs, sym
 
 
 def test_identity_top_eigenvalue():
@@ -69,14 +72,21 @@ def oracle_cases(n):
         yield np.diag(d)
 
 
+def assert_top_pair_matches_dense_oracle(M):
+    """largest_eigenvalue(M) gives eigvalsh's top eigenvalue to 1e-12 and a
+    unit vector within the documented residual bound, both relative to
+    max(1, ||M||_inf)."""
+    lam, v = largest_eigenvalue(M)
+    scale = max(1.0, np.abs(M).sum(axis=1).max())
+    assert abs(lam - np.linalg.eigvalsh(M)[-1]) <= 1e-12 * scale
+    assert np.linalg.norm(M @ v - lam * v) <= 1e-8 * scale
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 20, 64, 65, 100, 450])
 def test_top_eigenvalue_matches_dense_oracle(n):
     for M in oracle_cases(n):
-        lam, v = largest_eigenvalue(M)
-        scale = max(1.0, np.abs(M).sum(axis=1).max())
-        assert abs(lam - np.linalg.eigvalsh(M)[-1]) <= 1e-12 * scale
-        assert np.linalg.norm(M @ v - lam * v) <= 1e-8 * scale
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert_top_pair_matches_dense_oracle(M)
 
 
 @pytest.mark.parametrize("n", [200, 500])
@@ -257,8 +267,9 @@ def assert_jacobi_matches_oracle(M, oracle_input=None):
         assert np.array_equal(got, want)
 
 
-# every order up to 32, then spaced out to the largest order sent to Jacobi
-@pytest.mark.parametrize("n", [*range(1, 33), 40, 48, 56, _JACOBI_MAX_ORDER])
+# every order up to 32, then spaced out to 64: jacobi_eigh is public at
+# every order, though largest_eigenvalue sends only the smallest to it
+@pytest.mark.parametrize("n", [*range(1, 33), 40, 48, 56, 64])
 def test_jacobi_is_bitwise_the_reference(n):
     rng = np.random.default_rng(n)
     assert_jacobi_matches_oracle(sym(rng, n, scale=float(rng.uniform(0.1, 10.0))))
@@ -351,12 +362,77 @@ def test_norm_is_bitwise_numpy_norm():
                 assert got == np.linalg.norm(v)
 
 
-def test_dispatch_size_boundary():
+def spy_solvers(monkeypatch):
+    """Records (solver name, order) for each solve largest_eigenvalue hands on."""
+    calls = []
+    for name in ("jacobi_eigh", "_lanczos"):
+
+        def spy(M, _solver=getattr(linalg, name), _name=name):
+            calls.append((_name, M.shape[0]))
+            return _solver(M)
+
+        monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+def test_dispatch_size_boundary(monkeypatch):
+    calls = spy_solvers(monkeypatch)
     rng = np.random.default_rng(9)
-    for n in (_JACOBI_MAX_ORDER, _JACOBI_MAX_ORDER + 1):
+    for n, solver in ((_JACOBI_MAX_ORDER, "jacobi_eigh"), (_JACOBI_MAX_ORDER + 1, "_lanczos")):
+        calls.clear()
         M = sym(rng, n)
         lam, _ = largest_eigenvalue(M)
+        assert calls == [(solver, n)]
         assert lam == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-8, abs=1e-8)
+
+
+def zscored_table(name, label_column):
+    return normalize_zscore(load_csv(DATA_DIR / f"{name}.csv", label_column=label_column))
+
+
+@pytest.mark.parametrize("name, d", [("wine", 13), ("wisconsin", 30)])
+def test_rank_deficient_table_scatters_take_at_most_m_lanczos_steps(monkeypatch, name, d):
+    # m <= d members scatter in at most m - 1 directions, so the first Krylov
+    # block breaks down or converges within m steps, and what is left outside
+    # it is rounding, which ends the iteration without a restart; the restart
+    # cases at these orders are in oracle_cases
+    data = zscored_table(name, d)
+    rng = np.random.default_rng(d)
+    calls = spy_solvers(monkeypatch)
+    steps = count_lanczos_steps(monkeypatch)
+    for m in (2, 3, 4, d // 2, d - 1, d):
+        S = scatter_matrix(data, np.sort(rng.choice(len(data.points), size=m, replace=False)))
+        assert np.linalg.matrix_rank(S) < m
+        calls.clear()
+        steps[0] = 0
+        assert_top_pair_matches_dense_oracle(S)
+        assert calls == [("_lanczos", d)]
+        assert steps[0] <= m
+
+
+@pytest.mark.parametrize("name, d", [("wine", 13), ("wisconsin", 30)])
+def test_table_cluster_scatters_of_one_sweep_solved_by_lanczos(monkeypatch, name, d):
+    data = zscored_table(name, d)
+    prof = persistence_profile(data, k_max=10, restarts=8, seed=0)
+    calls = spy_solvers(monkeypatch)
+    for sol in prof.per_k_solutions.values():
+        for j in range(sol.k):
+            assert_top_pair_matches_dense_oracle(scatter_matrix(data, sol.members(j)))
+    assert len(calls) == sum(sol.k for sol in prof.per_k_solutions.values())
+    assert set(calls) == {("_lanczos", d)}
+
+
+@pytest.mark.parametrize("n", [_JACOBI_MAX_ORDER + 1, 13, 30, 64])
+def test_lanczos_solves_near_symmetric_input_as_its_mirror_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    M = sym(rng, n) + 1e-14 * np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+    assert not np.array_equal(M, M.T)
+    mirrored = np.triu(M) + np.triu(M, 1).T
+    want_lam, want_v = largest_eigenvalue(mirrored)
+    for X in (M, np.asfortranarray(M)):
+        lam, v = largest_eigenvalue(X)
+        assert lam == want_lam and np.array_equal(v, want_v)
+    assert_top_pair_matches_dense_oracle(mirrored)
 
 
 def test_scatter_singleton_is_zero():
