@@ -295,25 +295,90 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     return ClusteringSolution(k=k, assignment=assign, centroids=centers, distortion=distortion)
 
 
+def _components(linked: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the graph whose adjacency is the boolean
+    matrix linked, each as its sorted point indices, in order of their
+    lowest index. A breadth-first search, one frontier of rows at a time."""
+    unseen = np.ones(len(linked), dtype=bool)
+    comps = []
+    while unseen.any():
+        start = int(np.argmax(unseen))
+        unseen[start] = False
+        members, frontier = [start], [start]
+        while frontier:
+            reached = linked[frontier].any(axis=0) & unseen
+            frontier = np.flatnonzero(reached).tolist()
+            unseen[frontier] = False
+            members += frontier
+        comps.append(np.sort(members))
+    return comps
+
+
+def _laplacian(K: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """I - S K S with S = diag(s), symmetrized."""
+    L = np.eye(len(s)) - s[:, None] * K * s[None, :]
+    return (L + L.T) / 2.0
+
+
 def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
     """First k_max eigenvectors of the symmetric normalized Laplacian of K.
 
     Columns are ordered by ascending eigenvalue, so the Ng-Jordan-Weiss
     embedding at any k <= k_max is the first k columns. A persistence sweep
     computes this once and hands it to spectral_cluster at every k.
+
+    The Laplacian is block diagonal over the m connected components of the
+    graph K != 0 (taken symmetric), so it takes one eigendecomposition per
+    component. With m = 1 that is one dense eigh of the whole Laplacian.
+    With m > 1 the first m columns are the null vectors in closed form,
+    D_c^(1/2) 1_c / ||D_c^(1/2) 1_c|| for each component c in order of its
+    lowest point index, zero outside c (the norm is taken as the square root
+    of c's degree sum); the other columns are the components' eigenvectors
+    of nonzero eigenvalue, merged by ascending eigenvalue with ties going to
+    the lower component, and zero outside their component. With k_max <= m
+    no eigh runs.
+
+    K must be a square matrix of finite values whose rows have positive sums.
     """
     K = np.asarray(K, dtype=float)
-    n = K.shape[0]
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be a square matrix, got shape {K.shape}")
     deg = K.sum(axis=1)
+    if not np.isfinite(deg).all():
+        bad = "holds NaN or inf" if not np.isfinite(K).all() else "has row sums that overflow"
+        raise ValueError(f"K {bad}")
     if np.any(deg <= 0):
         raise ValueError("isolated point")
+    n = K.shape[0]
     s = 1.0 / np.sqrt(deg)
-    L = np.eye(n) - s[:, None] * K * s[None, :]
-    L = (L + L.T) / 2.0
-    # numpy's eigh serves as embedding infrastructure here; the persistence
-    # eigenvalue paths use the solvers in linalg
-    _, V = np.linalg.eigh(L)
-    return V[:, :k_max].copy()
+    comps = _components((K != 0) | (K.T != 0))
+    if len(comps) == 1:
+        # numpy's eigh serves as embedding infrastructure here; the
+        # persistence eigenvalue paths use the solvers in linalg
+        _, V = np.linalg.eigh(_laplacian(K, s))
+        return V[:, :k_max].copy()
+    basis = np.zeros((n, min(k_max, n)))
+    for j, c in enumerate(comps[: basis.shape[1]]):
+        basis[c, j] = np.sqrt(deg[c]) / math.sqrt(deg[c].sum())
+    extra = basis.shape[1] - len(comps)
+    if extra <= 0:
+        return basis
+    # the lowest `extra` eigenpairs of each component above its null vector,
+    # in component order; a stable sort merges them, ties to the lower one
+    found = []
+    for j, c in enumerate(comps):
+        w, V = np.linalg.eigh(_laplacian(K[np.ix_(c, c)], s[c]))
+        # eigh's vectors are orthogonal to its own null vector, which differs
+        # from the closed form by rounding over the spectral gap (6e-10 on
+        # the rings of gate 4a); project the closed form out
+        null, U = basis[c, j], V[:, 1 : 1 + extra]
+        U = U - np.outer(null, null @ U)
+        U /= np.linalg.norm(U, axis=0)
+        found += [(value, c, u) for value, u in zip(w[1 : 1 + extra].tolist(), U.T)]
+    found.sort(key=lambda f: f[0])
+    for j, (_, c, u) in enumerate(found[:extra], start=len(comps)):
+        basis[c, j] = u
+    return basis
 
 
 def spectral_cluster(

@@ -42,8 +42,9 @@ class CriticalBeta(NamedTuple):
 
 
 # K, the Laplacian and its eigenvectors: the N x N float64 arrays a kernel
-# sweep holds at once while it embeds (eigh's workspace comes on top, so the
-# guard rejects only sweeps that cannot fit)
+# sweep holds at once while it embeds a connected graph, the worst case (a
+# disconnected one holds only per-component blocks beside K; eigh's
+# workspace comes on top, so the guard rejects only sweeps that cannot fit)
 _KERNEL_DENSE_ARRAYS = 3
 
 
@@ -236,8 +237,9 @@ def persistence_profile(
     solutions and the argmax range (used for wide scans around a known k).
 
     Work that does not depend on k is done once per sweep: in kernel mode the
-    similarity matrix and one Laplacian eigendecomposition, whose first k
-    columns embed the points at every k. A cluster block is a function of
+    similarity matrix and the Laplacian basis, one eigendecomposition per
+    connected component of the similarity graph, whose first k columns
+    embed the points at every k. A cluster block is a function of
     its members, so one that recurs across k (same members) has its top
     eigenvalue solved once, from a cache that lives only for this call, and
     a block whose spectral-radius bound is below the largest eigenvalue

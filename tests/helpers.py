@@ -1,13 +1,33 @@
 """Small utilities shared across test modules."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 
 import clusterpersist
-from clusterpersist import gen_gaussian_mixture
+from clusterpersist import gen_gaussian_mixture, gen_rings, normalize_zscore, persistence_profile
 
 DATA_DIR = Path(clusterpersist.__file__).parent / "data"
+
+
+def child_env(**extra):
+    """os.environ with the directories this suite imports clusterpersist and
+    these helpers from put first on PYTHONPATH, so a child interpreter runs
+    the same package whether or not the suite was started with PYTHONPATH
+    set; extra variables are added on top."""
+    paths = [
+        str(Path(clusterpersist.__file__).resolve().parents[1]),
+        str(Path(__file__).resolve().parent),
+        os.environ.get("PYTHONPATH"),
+    ]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
+def gate_4a_profile():
+    """The sweep of acceptance gate 4a: three concentric rings, kernel route."""
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
+    return persistence_profile(ds, k_max=6, mode="kernel", sigma=0.01, restarts=8, seed=0)
 
 
 def blobs(centers, sd, n_per, seed=0):

@@ -1,6 +1,9 @@
 """End-to-end acceptance gates: analytic oracles, bundled reference datasets,
 and cross-module consistency checks, one test per gated behavior. The
 terminal summary prints a PASS/FAIL line per criterion label."""
+import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -11,7 +14,6 @@ from clusterpersist import (
     anneal,
     critical_beta,
     gen_gaussian_mixture,
-    gen_rings,
     gen_spirals,
     gen_supercluster_grid,
     gen_two_disks,
@@ -25,7 +27,7 @@ from clusterpersist import (
     posterior_covariance,
     scatter_matrix,
 )
-from helpers import DATA_DIR, blobs, same_partition
+from helpers import DATA_DIR, blobs, child_env, gate_4a_profile, same_partition
 
 
 def manual_solution(X, assignment, k):
@@ -129,12 +131,60 @@ def test_criterion_4a_concentric_rings_kernel():
     the reference answer deterministically.
     """
     start = time.monotonic()
-    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
-    prof = persistence_profile(
-        ds, k_max=6, mode="kernel", sigma=0.01, restarts=8, seed=0
-    )
+    prof = gate_4a_profile()
     assert prof.k_t == 3
     assert time.monotonic() - start < 120.0
+
+
+# Runs the gate 4a sweep in a child interpreter and prints the OpenBLAS core
+# name it ran on, k_t and the assignment at every k, as one JSON object. A
+# child whose core is not the one asked for stops before the sweep.
+_GATE_4A_CHILD = """
+import ctypes, glob, json, os, sys
+import numpy as np
+
+def corename():
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+out = {"core": corename()}
+if out["core"] == sys.argv[1]:
+    from helpers import gate_4a_profile
+    prof = gate_4a_profile()
+    out["k_t"] = prof.k_t
+    out["assignments"] = {k: s.assignment.tolist() for k, s in prof.per_k_solutions.items()}
+print(json.dumps(out))
+"""
+
+
+def test_criterion_4a_same_partitions_under_a_second_blas_kernel():
+    """Gate 4a's null space is closed form, so its k_t and its partition at
+    every k must not depend on the BLAS kernel. The sweep runs again in a
+    child interpreter on OpenBLAS's Haswell kernels; a BLAS that cannot
+    switch to them skips with the core it reports."""
+    want = "Haswell"
+    res = subprocess.run(
+        [sys.executable, "-c", _GATE_4A_CHILD, want],
+        capture_output=True,
+        text=True,
+        env=child_env(OPENBLAS_CORETYPE=want),
+    )
+    assert res.returncode == 0, res.stderr
+    child = json.loads(res.stdout.strip().splitlines()[-1])
+    if child["core"] != want:
+        pytest.skip(f"OpenBLAS did not switch to {want} kernels; its core is {child['core']}")
+    prof = gate_4a_profile()
+    assert child["k_t"] == prof.k_t == 3
+    assert sorted(map(int, child["assignments"])) == sorted(prof.per_k_solutions)
+    for k, sol in prof.per_k_solutions.items():
+        assert same_partition(child["assignments"][str(k)], sol.assignment), f"k={k}"
 
 
 def test_criterion_4b_spiral_arms_kernel():

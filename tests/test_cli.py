@@ -2,7 +2,6 @@ import hashlib
 import importlib.metadata
 import json
 import math
-import os
 import re
 import shlex
 import shutil
@@ -20,7 +19,7 @@ import pytest
 
 from clusterpersist import anneal, annealing, cli
 from clusterpersist.cli import main
-from helpers import DATA_DIR
+from helpers import DATA_DIR, child_env
 
 
 def run_cli(argv, capsys):
@@ -391,14 +390,6 @@ def test_da_trace_refuses_overlong_schedule_before_building_it(capsys, monkeypat
             main(args)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
-
-
-def child_env():
-    """os.environ with the directory this suite imports clusterpersist from
-    put first on PYTHONPATH, so a child interpreter runs the same package
-    whether or not the suite was started with PYTHONPATH set."""
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def run_console_script(args, **run_kwargs):

@@ -12,6 +12,7 @@ from clusterpersist import (
     Dataset,
     gaussian_kernel,
     gen_rings,
+    gen_spirals,
     kmeans,
     normalize_zscore,
     spectral_basis,
@@ -235,6 +236,115 @@ def test_spectral_deterministic():
     np.testing.assert_array_equal(c.assignment, a.assignment)
     assert c.centroids.tobytes() == a.centroids.tobytes()
     assert c.distortion == a.distortion
+
+
+# Reference Laplacian basis: one dense eigh of the whole symmetrized
+# Laplacian, the basis of every K before the per-component solve.
+def oracle_laplacian(K):
+    K = np.asarray(K, dtype=float)
+    s = 1.0 / np.sqrt(K.sum(axis=1))
+    L = np.eye(len(K)) - s[:, None] * K * s[None, :]
+    return (L + L.T) / 2.0
+
+
+def oracle_dense_basis(K, k_max):
+    _, V = np.linalg.eigh(oracle_laplacian(K))
+    return V[:, :k_max].copy()
+
+
+def three_blocks():
+    """A Gaussian K of three far-apart clouds of 9, 23 and 14 points, their
+    rows shuffled, and its components as sorted index arrays in order of
+    their lowest index; entries across clouds underflow to exactly 0."""
+    rng = np.random.default_rng(11)
+    sizes, centers = (9, 23, 14), (0.0, 100.0, 200.0)
+    X = np.concatenate([rng.normal(size=(n, 2)) + c for n, c in zip(sizes, centers)])
+    labels = np.repeat([0, 1, 2], sizes)
+    perm = rng.permutation(len(X))
+    X, labels = X[perm], labels[perm]
+    comps = sorted((np.flatnonzero(labels == c) for c in range(3)), key=lambda c: c[0])
+    return gaussian_kernel(Dataset(X), 1.0), comps
+
+
+@pytest.mark.parametrize("case", ["spirals", "gaussian"])
+def test_connected_basis_is_bitwise_one_dense_eigh(case):
+    if case == "spirals":
+        K = gaussian_kernel(normalize_zscore(gen_spirals(3, 450, 0.02, seed=0)), 0.08)
+    else:
+        K = gaussian_kernel(Dataset(np.random.default_rng(4).normal(size=(80, 3))), 1.0)
+    assert spectral_basis(K, 6).tobytes() == oracle_dense_basis(K, 6).tobytes()
+
+
+@pytest.mark.parametrize("case", ["rings", "three-blocks"])
+def test_disconnected_basis_is_the_closed_form_null_space_then_eigenvectors(case):
+    if case == "rings":
+        K = gaussian_kernel(normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0)), 0.01)
+        comps = [np.arange(c * 450, (c + 1) * 450) for c in range(3)]
+    else:
+        K, comps = three_blocks()
+    m, k_max = len(comps), 6
+    B = spectral_basis(K, k_max)
+    assert B.shape == (len(K), k_max)
+    deg = K.sum(axis=1)
+    for j, c in enumerate(comps):
+        # D_c^(1/2) 1_c over its norm, the square root of the degree sum
+        want = np.zeros(len(K))
+        want[c] = np.sqrt(deg[c]) / math.sqrt(deg[c].sum())
+        assert B[:, j].tobytes() == want.tobytes()
+    # every column lives on one component
+    for j in range(k_max):
+        assert sum(np.any(B[c, j] != 0) for c in comps) == 1
+    np.testing.assert_allclose(B.T @ B, np.eye(k_max), rtol=0, atol=1e-12)
+    L = oracle_laplacian(K)
+    LB = L @ B
+    rayleigh = np.einsum("ij,ij->j", B, LB)
+    for j in range(m, k_max):
+        assert np.linalg.norm(LB[:, j] - rayleigh[j] * B[:, j]) <= 1e-10
+    np.testing.assert_allclose(rayleigh, np.linalg.eigvalsh(L)[:k_max], rtol=0, atol=1e-12)
+
+
+def test_disconnected_basis_takes_one_eigh_per_component(monkeypatch):
+    K, comps = three_blocks()
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: shapes.append(M.shape) or eigh(M))
+    spectral_basis(K, 5)
+    assert shapes == [(len(c), len(c)) for c in comps]
+    # up to m columns the null space is all there is to find
+    shapes.clear()
+    for k_max in (1, 2, 3):
+        assert spectral_basis(K, k_max).shape == (len(K), k_max)
+    assert shapes == []
+
+
+def test_components_are_taken_on_the_symmetrized_pattern():
+    # a link held only below the diagonal joins two blocks, as it does in
+    # the symmetrized Laplacian, so the basis is the one dense eigh
+    K = np.zeros((7, 7))
+    K[:4, :4] = 1.0
+    K[4:, 4:] = 1.0
+    K[6, 0] = 1e-14
+    assert spectral_basis(K, 3).tobytes() == oracle_dense_basis(K, 3).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_basis_refuses_a_K_that_is_not_finite(bad):
+    K = np.ones((5, 5))
+    K[1, 3] = bad
+    with pytest.raises(ValueError, match="K holds NaN or inf"):
+        spectral_basis(K, 2)
+
+
+def test_spectral_basis_refuses_row_sums_that_overflow():
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="K has row sums that overflow"):
+            spectral_basis(np.full((4, 4), 1e308), 2)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+def test_spectral_basis_refuses_a_K_that_is_not_square(shape):
+    with pytest.raises(ValueError, match=r"K must be a square matrix, got shape"):
+        spectral_basis(np.ones(shape), 2)
 
 
 # Reference k-means: the mask-per-cluster Lloyd means and the row-sum

@@ -208,11 +208,14 @@ def test_rings_kernel_profile_direction():
 def test_rings_at_two_clusters_tie_between_two_groupings():
     """At sigma=0.01 the three rings are disconnected in K, the Laplacian has
     a threefold null space, and the two-column embedding cannot tell which
-    ring the outer one belongs with. Both groupings (outer ring with the
-    inner, or with the middle) have exactly the same embedding distortion, so
-    the restart order decides, and beta_bar(2) takes one of two values. This
-    records the finding; it does not choose a rule for k below the number of
-    connected components."""
+    ring the outer one belongs with. The first two basis columns are the
+    closed-form null vectors of the inner and the middle ring, so the outer
+    ring's rows are zero and sit at the origin, equally far from the other
+    two rings' normalized rows. Both groupings (outer ring with the inner, or
+    with the middle) have exactly the same embedding distortion by
+    construction, so the restart order decides, and beta_bar(2) takes one of
+    two values. This records the finding; it does not choose a rule for k
+    below the number of connected components."""
     ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
     K = gaussian_kernel(ds, 0.01)
     basis = spectral_basis(K, 6)
@@ -335,8 +338,9 @@ def test_kernel_sweep_matches_uncached_sweep_byte_for_byte(monkeypatch):
     prof = persistence_profile(ds, **args)
     assert prof.to_csv() == ref.to_csv()
     assert prof.to_json_dict() == ref.to_json_dict()
-    # one Laplacian eigendecomposition per sweep, each kernel block solved
-    # at most once, and fewer distinct blocks solved than the unpruned sweep
+    # one Laplacian eigendecomposition per sweep, of the whole (N, N)
+    # Laplacian since this graph is connected, each kernel block solved at
+    # most once, and fewer distinct blocks solved than the unpruned sweep
     assert eighs == [(ds.n, ds.n)]
     assert len(set(blocks)) == len(blocks) < len(set(ref_blocks))
 
