@@ -9,6 +9,7 @@ reassigns the globally farthest point.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import _sq_distances
+from .linalg import _EPS, _sq_distances
 
 __all__ = ["ClusteringSolution", "kmeans", "spectral_basis", "spectral_cluster"]
 
@@ -320,6 +321,32 @@ def _laplacian(K: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (L + L.T) / 2.0
 
 
+def _excluded(L: np.ndarray, null: np.ndarray, tau: float) -> bool:
+    """True when every eigenvalue of the Laplacian block L but its least
+    provably lies strictly above tau, also as eigh would compute it; null is
+    the block's unit null vector.
+
+    The test is one Cholesky factorization of
+    A = L + null null^T - (tau + delta) I. When it completes, A plus a
+    backward error of norm about n^2 eps ||A|| is positive definite (Higham,
+    Accuracy and Stability of Numerical Algorithms, 10.1), so every
+    eigenvalue of L + null null^T exceeds tau + delta less that error. By
+    interlacing for a rank-one update, lambda_(i+1)(L) >= lambda_i(L +
+    null null^T), so the same holds for every eigenvalue of L but its least.
+    delta = 2 n^2 eps ||L + null null^T||_inf also covers the rounding in
+    forming A and eigh's own error.
+    """
+    n = len(L)
+    A = L + np.outer(null, null)
+    delta = 2.0 * n * n * _EPS * float(np.abs(A).sum(axis=1).max())
+    A.flat[:: n + 1] -= tau + delta
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
     """First k_max eigenvectors of the symmetric normalized Laplacian of K.
 
@@ -328,18 +355,30 @@ def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
     computes this once and hands it to spectral_cluster at every k.
 
     The Laplacian is block diagonal over the m connected components of the
-    graph K != 0 (taken symmetric), so it takes one eigendecomposition per
-    component. With m = 1 that is one dense eigh of the whole Laplacian.
-    With m > 1 the first m columns are the null vectors in closed form,
-    D_c^(1/2) 1_c / ||D_c^(1/2) 1_c|| for each component c in order of its
-    lowest point index, zero outside c (the norm is taken as the square root
-    of c's degree sum); the other columns are the components' eigenvectors
-    of nonzero eigenvalue, merged by ascending eigenvalue with ties going to
-    the lower component, and zero outside their component. With k_max <= m
-    no eigh runs.
+    graph K != 0 (taken symmetric). With m = 1 the basis is one dense eigh
+    of the whole Laplacian. With m > 1 the first m columns are the null
+    vectors in closed form, D_c^(1/2) 1_c / ||D_c^(1/2) 1_c|| for each
+    component c in order of its lowest point index, zero outside c (the
+    norm is taken as the square root of c's degree sum); the other columns
+    are the components' eigenvectors of nonzero eigenvalue, merged by
+    ascending eigenvalue with ties going to the lower component, and zero
+    outside their component. With k_max <= m no eigh runs.
 
-    K must be a square matrix of finite values whose rows have positive sums.
+    Only the components that can reach the basis are eigendecomposed. They
+    are visited in ascending mean degree, where the smallest eigenvalues
+    tend to lie. Once the k_max - m lowest eigenvalues found so far have
+    tau as the largest, a component is skipped when one Cholesky
+    factorization certifies that all its eigenvalues but the null one lie
+    above tau by more than rounding (see _excluded, with its margin delta);
+    such a component could only have given columns that sort after the
+    ones kept. The visiting order sets how many eigh calls run, never the
+    basis, which is bitwise the one from decomposing every component.
+
+    k_max must be an integer >= 1. K must be a square matrix of finite
+    values whose rows have positive sums.
     """
+    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 1:
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be a square matrix, got shape {K.shape}")
@@ -363,21 +402,26 @@ def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
     extra = basis.shape[1] - len(comps)
     if extra <= 0:
         return basis
-    # the lowest `extra` eigenpairs of each component above its null vector,
-    # in component order; a stable sort merges them, ties to the lower one
+    # the lowest `extra` eigenpairs above its null vector of each component
+    # that can reach the basis, merged by (eigenvalue, component): ties to
+    # the lower component
     found = []
-    for j, c in enumerate(comps):
-        w, V = np.linalg.eigh(_laplacian(K[np.ix_(c, c)], s[c]))
+    for j in sorted(range(len(comps)), key=lambda j: deg[comps[j]].mean()):
+        c = comps[j]
+        L, null = _laplacian(K[np.ix_(c, c)], s[c]), basis[c, j]
+        if len(found) >= extra and _excluded(L, null, sorted(f[0] for f in found)[extra - 1]):
+            continue
+        w, V = np.linalg.eigh(L)
         # eigh's vectors are orthogonal to its own null vector, which differs
         # from the closed form by rounding over the spectral gap (6e-10 on
         # the rings of gate 4a); project the closed form out
-        null, U = basis[c, j], V[:, 1 : 1 + extra]
+        U = V[:, 1 : 1 + extra]
         U = U - np.outer(null, null @ U)
         U /= np.linalg.norm(U, axis=0)
-        found += [(value, c, u) for value, u in zip(w[1 : 1 + extra].tolist(), U.T)]
-    found.sort(key=lambda f: f[0])
-    for j, (_, c, u) in enumerate(found[:extra], start=len(comps)):
-        basis[c, j] = u
+        found += [(value, j, c, u) for value, u in zip(w[1 : 1 + extra].tolist(), U.T)]
+    found.sort(key=lambda f: f[:2])
+    for col, (_, _, c, u) in enumerate(found[:extra], start=len(comps)):
+        basis[c, col] = u
     return basis
 
 

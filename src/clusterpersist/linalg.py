@@ -62,12 +62,11 @@ def _require_symmetric(M: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.isfinite(M).all():
         raise ValueError("matrix must be finite")
-    scale = max(1.0, np.abs(M).max())
-    asymmetry = np.abs(M - M.T).max()
-    if asymmetry > 1e-12 * scale:
-        raise ValueError("matrix must be symmetric")
-    if asymmetry == 0.0:
+    if (M == M.T).all():
         return M
+    scale = max(1.0, np.abs(M).max())
+    if np.abs(M - M.T).max() > 1e-12 * scale:
+        raise ValueError("matrix must be symmetric")
     # Jacobi rotations cannot remove an antisymmetric part, so a matrix
     # accepted as nearly symmetric is solved as its upper triangle mirrored
     return np.triu(M) + np.triu(M, 1).T
@@ -179,6 +178,20 @@ def _ldl_pivots(a: list, b: list, x: float) -> list:
     return piv
 
 
+def _below_spectrum(a: list, b: list, x: float) -> bool:
+    """all(d < 0.0 for d in _ldl_pivots(a, b, x)), with the same arithmetic,
+    stopping at the first pivot that is not negative: True when x lies above
+    every eigenvalue of T."""
+    d = 1.0
+    for ai, bi in zip(a, b):
+        d = (ai - x) - bi * bi / d
+        if abs(d) < _EPS:
+            d = -_EPS
+        elif not d < 0.0:
+            return False
+    return True
+
+
 def _tridiagonal_top(a: list, b: list) -> Tuple[float, list]:
     """Largest eigenvalue of a unit-scale tridiagonal T (see _ldl_pivots) by
     bisection, and a unit eigenvector by two steps of inverse iteration at the
@@ -188,13 +201,13 @@ def _tridiagonal_top(a: list, b: list) -> Tuple[float, list]:
     tol = 4.0 * _EPS
     lo = max(a)  # each diagonal entry is a Rayleigh quotient of T
     hi = max(ai + bi + bj for ai, bi, bj in zip(a, b, b[1:] + [0.0])) + tol  # Gershgorin
-    while not all(d < 0.0 for d in _ldl_pivots(a, b, hi)):
+    while not _below_spectrum(a, b, hi):
         hi += hi - lo + tol
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if all(d < 0.0 for d in _ldl_pivots(a, b, mid)):
+        if _below_spectrum(a, b, mid):
             hi = mid
         else:
             lo = mid
@@ -352,8 +365,16 @@ def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndar
         raise ValueError("empty cluster")
     B = K[np.ix_(members, members)]
     rm = B.mean(axis=1)
-    A = B - rm[:, None] - rm[None, :] + B.mean()
-    return (A + A.T) / 2.0
+    c = B.mean()
+    # the gathered copy is centered and symmetrized in place, with the
+    # rounded steps of (A + A.T) / 2 for A = B - rm[:, None] - rm[None, :] + c;
+    # numpy reads the overlapping B.T from a copy
+    B -= rm[:, None]
+    B -= rm[None, :]
+    B += c
+    B += B.T
+    B /= 2.0
+    return B
 
 
 def _kernel_denominator(sigma: float) -> float:
@@ -373,7 +394,10 @@ def gaussian_kernel(data: Dataset, sigma: float) -> np.ndarray:
     """
     two_s2 = _kernel_denominator(sigma)
     X = data.points
-    d2 = _sq_distances(X, data.sq_norms, X)
-    K = np.exp(-d2 / two_s2)
+    K = _sq_distances(X, data.sq_norms, X)
+    # exp(-d2 / two_s2), step for step, in place
+    np.negative(K, out=K)
+    K /= two_s2
+    np.exp(K, out=K)
     np.fill_diagonal(K, 1.0)
     return K

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -89,9 +90,15 @@ def _radius_bounds(M: np.ndarray):
     P = M / m
     f = float(np.linalg.norm(P))
     P /= f
-    for p in (1, 2, 4):
-        if p > 1:
-            P = P @ P
+    bound = m * f * float(np.linalg.norm(P))
+    # the caller holds the generator while it solves other blocks, so the
+    # scaled copy is made again rather than kept across the first yield
+    del P
+    yield bound
+    P = M / m
+    P /= f
+    for p in (2, 4):
+        P = P @ P.T  # P is exactly symmetric, and this form takes syrk
         yield m * f * float(np.linalg.norm(P)) ** (1.0 / p)
 
 
@@ -130,13 +137,14 @@ def _critical_beta(solution: ClusteringSolution, build, cache: Optional[dict]) -
             lmax[j] = cache[block]
         else:
             M = build(members)
-            unsolved.append((next(_radius_bounds(M)), j, block, M))
+            bounds = _radius_bounds(M)
+            unsolved.append((next(bounds), bounds, j, block, M))
     best = lmax.max()
-    for _, j, block, M in sorted(unsolved, key=lambda u: u[0], reverse=True):
+    for first, bounds, j, block, M in sorted(unsolved, key=lambda u: u[0], reverse=True):
         if (
             best > 0.0
             and M.shape[0] <= _SKIP_MAX_ORDER
-            and any(b * (1.0 + _SKIP_SLACK) < best for b in _radius_bounds(M))
+            and any(b * (1.0 + _SKIP_SLACK) < best for b in itertools.chain([first], bounds))
         ):
             continue
         cache[block], _ = largest_eigenvalue(M)
@@ -237,9 +245,13 @@ def persistence_profile(
     solutions and the argmax range (used for wide scans around a known k).
 
     Work that does not depend on k is done once per sweep: in kernel mode the
-    similarity matrix and the Laplacian basis, one eigendecomposition per
-    connected component of the similarity graph, whose first k columns
-    embed the points at every k. A cluster block is a function of
+    similarity matrix and the Laplacian basis, whose first k columns embed
+    the points at every k. The basis takes one eigendecomposition per
+    connected component of the similarity graph that can reach its first
+    k_max columns; the components are visited in ascending mean degree, and
+    one is skipped when a Cholesky factorization, shifted by the k_max - m
+    lowest eigenvalues found so far plus a rounding margin delta, certifies
+    that it cannot (see spectral_basis). A cluster block is a function of
     its members, so one that recurs across k (same members) has its top
     eigenvalue solved once, from a cache that lives only for this call, and
     a block whose spectral-radius bound is below the largest eigenvalue

@@ -238,6 +238,12 @@ def test_spectral_deterministic():
     assert c.distortion == a.distortion
 
 
+@pytest.fixture(scope="module")
+def rings_K():
+    """The Gaussian K of the gate 4a rings: three components of 450 points."""
+    return gaussian_kernel(normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0)), 0.01)
+
+
 # Reference Laplacian basis: one dense eigh of the whole symmetrized
 # Laplacian, the basis of every K before the per-component solve.
 def oracle_laplacian(K):
@@ -303,18 +309,144 @@ def test_disconnected_basis_is_the_closed_form_null_space_then_eigenvectors(case
     np.testing.assert_allclose(rayleigh, np.linalg.eigvalsh(L)[:k_max], rtol=0, atol=1e-12)
 
 
-def test_disconnected_basis_takes_one_eigh_per_component(monkeypatch):
-    K, comps = three_blocks()
-    shapes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: shapes.append(M.shape) or eigh(M))
-    spectral_basis(K, 5)
-    assert shapes == [(len(c), len(c)) for c in comps]
+def oracle_component_basis(K, k_max):
+    """The basis of a disconnected K from decomposing every component: one
+    eigh per component, merged by a stable sort on the eigenvalue."""
+    deg = K.sum(axis=1)
+    s = 1.0 / np.sqrt(deg)
+    comps = clustering._components((K != 0) | (K.T != 0))
+    basis = np.zeros((len(K), min(k_max, len(K))))
+    for j, c in enumerate(comps[: basis.shape[1]]):
+        basis[c, j] = np.sqrt(deg[c]) / math.sqrt(deg[c].sum())
+    extra = basis.shape[1] - len(comps)
+    if extra <= 0:
+        return basis
+    found = []
+    for j, c in enumerate(comps):
+        w, V = np.linalg.eigh(clustering._laplacian(K[np.ix_(c, c)], s[c]))
+        null, U = basis[c, j], V[:, 1 : 1 + extra]
+        U = U - np.outer(null, null @ U)
+        U /= np.linalg.norm(U, axis=0)
+        found += [(value, c, u) for value, u in zip(w[1 : 1 + extra].tolist(), U.T)]
+    found.sort(key=lambda f: f[0])
+    for j, (_, c, u) in enumerate(found[:extra], start=len(comps)):
+        basis[c, j] = u
+    return basis
+
+
+def random_block_kernel(seed):
+    """A block-diagonal K of 2 to 6 blocks of 2 to 39 points, its rows
+    shuffled. Each block is a Gaussian kernel of a cloud of random spread,
+    rounded to multiples of 2^-10, so every degree is an exact sum in any
+    order. About 30% of the blocks are a twin of an earlier one, the same
+    block times 1/4, 1 or 4: its Laplacian is bitwise the same, so its
+    eigenvalues tie exactly, but at 1/4 or 4 its mean degree differs, and
+    so may its place in the visiting order. A rounded block
+    may itself fall apart into several components."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(int(rng.integers(2, 7))):
+        if blocks and rng.random() < 0.3:
+            scale = rng.choice([0.25, 1.0, 4.0])
+            blocks.append(blocks[int(rng.integers(len(blocks)))] * scale)
+            continue
+        X = rng.normal(size=(int(rng.integers(2, 40)), 2)) * rng.uniform(0.3, 3.0)
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        B = np.round(np.exp(-d2 / 2.0) * 1024.0) / 1024.0
+        B = np.maximum(B, B.T)
+        np.fill_diagonal(B, 1.0)
+        blocks.append(B)
+    perm = rng.permutation(sum(len(B) for B in blocks))
+    K = np.zeros((len(perm), len(perm)))
+    start = 0
+    for B in blocks:
+        idx = np.sort(perm[start : start + len(B)])
+        K[np.ix_(idx, idx)] = B
+        start += len(B)
+    return K
+
+
+def spy_eigensolvers(monkeypatch):
+    """Records the shape of every np.linalg.eigh and cholesky argument."""
+    calls = {"eigh": [], "cholesky": []}
+    for name, calls_of in calls.items():
+        solver = getattr(np.linalg, name)
+
+        def spy(M, solver=solver, calls_of=calls_of):
+            calls_of.append(M.shape)
+            return solver(M)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_disconnected_basis_is_bitwise_the_all_components_oracle(monkeypatch):
+    calls = spy_eigensolvers(monkeypatch)
+    twins = skipped = 0
+    for seed in range(100):
+        K = random_block_kernel(seed)
+        comps = clustering._components(K != 0)
+        m = len(comps)
+        assert m >= 2
+        # twin components have bitwise equal Laplacians, so equal spectra
+        s = 1.0 / np.sqrt(K.sum(axis=1))
+        laplacians = [
+            clustering._laplacian(K[np.ix_(c, c)], s[c]).tobytes() for c in comps if len(c) > 1
+        ]
+        twins += len(set(laplacians)) < len(laplacians)
+        for k_max in range(m - 1, m + 7):
+            want = oracle_component_basis(K, k_max)
+            del calls["eigh"][:]
+            assert spectral_basis(K, k_max).tobytes() == want.tobytes(), (seed, k_max)
+            skipped += m - len(calls["eigh"]) if k_max > m else 0
+    assert twins >= 10
+    assert skipped > 0
+
+
+def test_disconnected_basis_decomposes_only_the_components_that_reach_it(monkeypatch, rings_K):
+    calls = spy_eigensolvers(monkeypatch)
+    B = spectral_basis(rings_K, 6)
+    # all three columns past the null space come from the outer ring, the
+    # sparsest, visited first; one Cholesky each excludes the other two
+    assert calls == {"eigh": [(450, 450)], "cholesky": [(450, 450), (450, 450)]}
+    monkeypatch.undo()
+    assert B.tobytes() == oracle_component_basis(rings_K, 6).tobytes()
     # up to m columns the null space is all there is to find
-    shapes.clear()
+    calls = spy_eigensolvers(monkeypatch)
+    K, _ = three_blocks()
     for k_max in (1, 2, 3):
         assert spectral_basis(K, k_max).shape == (len(K), k_max)
-    assert shapes == []
+    assert calls == {"eigh": [], "cholesky": []}
+
+
+def test_disconnected_basis_is_the_same_when_no_component_is_excluded(monkeypatch, rings_K):
+    # the gate only skips: with every Cholesky failing, every component is
+    # decomposed and the basis does not move
+    def fail(M):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    cases = [(rings_K, 6)] + [(random_block_kernel(seed), 8) for seed in range(20)]
+    want = [oracle_component_basis(K, k_max) for K, k_max in cases]
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    for (K, k_max), B in zip(cases, want):
+        assert spectral_basis(K, k_max).tobytes() == B.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 3.0, True, "3", None])
+def test_spectral_basis_refuses_a_k_max_that_is_not_a_positive_integer(bad):
+    connected = gaussian_kernel(Dataset(np.random.default_rng(1).normal(size=(10, 2))), 1.0)
+    disconnected, _ = three_blocks()
+    for K in (connected, disconnected):
+        with pytest.raises(ValueError, match=r"k_max must be an integer >= 1"):
+            spectral_basis(K, bad)
+    # k_max is checked before K is read
+    with pytest.raises(ValueError, match=r"k_max must be an integer >= 1"):
+        spectral_basis(np.ones((2, 3)), bad)
+
+
+def test_spectral_basis_takes_numpy_integers():
+    K, _ = three_blocks()
+    assert spectral_basis(K, np.int64(5)).tobytes() == spectral_basis(K, 5).tobytes()
 
 
 def test_components_are_taken_on_the_symmetrized_pattern():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from clusterpersist import (
     Dataset,
     gaussian_kernel,
+    gen_rings,
     gen_two_disks,
     kernel_scatter_matrix,
     largest_eigenvalue,
@@ -17,7 +18,7 @@ from clusterpersist import (
     scatter_matrix,
 )
 import clusterpersist.linalg as linalg
-from clusterpersist.linalg import _JACOBI_MAX_ORDER, _norm, jacobi_eigh
+from clusterpersist.linalg import _EPS, _JACOBI_MAX_ORDER, _norm, jacobi_eigh
 from helpers import DATA_DIR, blobs, sym
 
 
@@ -490,6 +491,28 @@ def test_kernel_scatter_empty_cluster():
         kernel_scatter_matrix(np.eye(3), np.array([], dtype=int))
 
 
+def oracle_kernel_scatter(K, members):
+    B = K[np.ix_(members, members)]
+    rm = B.mean(axis=1)
+    A = B - rm[:, None] - rm[None, :] + B.mean()
+    return (A + A.T) / 2.0
+
+
+def test_kernel_scatter_is_bitwise_the_oracle():
+    K = gaussian_kernel(normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0)), 0.01)
+    before = K.copy()
+    rng = np.random.default_rng(3)
+    sizes = [1, 2, 3, 7, 8, 9, 64, 450, 451, 900] + rng.integers(1, len(K), size=10).tolist()
+    for size in sizes:
+        members = rng.choice(len(K), size=size, replace=False)
+        for m in (np.sort(members), members):
+            A = kernel_scatter_matrix(K, m)
+            assert A.tobytes() == oracle_kernel_scatter(K, m).tobytes()
+            assert np.array_equal(A, A.T)
+    # the block is centered in a copy, never in K
+    assert K.tobytes() == before.tobytes()
+
+
 def test_linear_kernel_spectrum_matches_scatter():
     """With a linear kernel the centered block and the feature-space scatter
     share their nonzero spectrum."""
@@ -618,6 +641,20 @@ def test_scatter_matrix_is_exactly_symmetric_and_bitwise_the_oracle(n, d):
             want = D.T @ D
             assert np.array_equal(S, S.T)
             assert np.array_equal(S, (want + want.T) / 2.0)
+
+
+def test_sturm_test_stops_early_with_the_same_answer():
+    # _below_spectrum is the all-negative test on _ldl_pivots, stopped at
+    # the first pivot that is not negative; the shifts include the ends of
+    # the spectrum, the diagonal entries and a pivot near zero
+    rng = np.random.default_rng(5)
+    for m in range(1, 40):
+        a = rng.normal(size=m).tolist()
+        b = [0.0] + rng.normal(size=m - 1).tolist()
+        w = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
+        for x in w.tolist() + a + [w[0] - 1.0, w[-1] + 1.0, w[-1] + 4.0 * _EPS, a[0] - 1e-17]:
+            want = all(d < 0.0 for d in linalg._ldl_pivots(a, b, x))
+            assert linalg._below_spectrum(a, b, x) == want
 
 
 def count_lanczos_steps(monkeypatch):
