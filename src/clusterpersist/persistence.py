@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional
@@ -67,7 +67,7 @@ def _check_kernel_memory(n: int) -> None:
         )
 
 
-# A block is skipped only when its radius bound, raised by this relative
+# A block is skipped only when its Frobenius bound, raised by this relative
 # slack, is still below the largest eigenvalue known at its k; and only when
 # n*n*eps, the scale of the rounding in both the bound and the solver, is at
 # most a hundredth of the slack, which holds up to order 6710
@@ -75,31 +75,17 @@ _SKIP_SLACK = 1e-6
 _SKIP_MAX_ORDER = math.isqrt(int(1e-2 * _SKIP_SLACK / np.finfo(float).eps))
 
 
-def _radius_bounds(M: np.ndarray):
-    """Upper bounds ||M^p||_F^(1/p) on the spectral radius of a symmetric M,
-    for p = 1, 2, 4 in turn, each no looser than the one before.
+def _frobenius_bound(M: np.ndarray) -> float:
+    """||M||_F, an upper bound on the spectral radius of a symmetric M.
 
-    The eigenvalues of M^p are lambda^p, so rho(M)^p <= ||M^p||_F. The powers
-    are taken of M scaled to unit Frobenius norm, whose entries and powers
-    lie in [-1, 1] at any scale of M, so nothing overflows or underflows.
+    It is taken of M scaled by its largest entry, so that no scale of M
+    overflows or underflows. A plain function, so that no scaled copy stays
+    alive while the caller builds later blocks.
     """
     m = float(np.abs(M).max())
     if m == 0.0:
-        yield 0.0
-        return
-    P = M / m
-    f = float(np.linalg.norm(P))
-    P /= f
-    bound = m * f * float(np.linalg.norm(P))
-    # the caller holds the generator while it solves other blocks, so the
-    # scaled copy is made again rather than kept across the first yield
-    del P
-    yield bound
-    P = M / m
-    P /= f
-    for p in (2, 4):
-        P = P @ P.T  # P is exactly symmetric, and this form takes syrk
-        yield m * f * float(np.linalg.norm(P)) ** (1.0 / p)
+        return 0.0
+    return m * float(np.linalg.norm(M / m))
 
 
 def _critical_beta(solution: ClusteringSolution, build, cache: Optional[dict]) -> CriticalBeta:
@@ -111,14 +97,14 @@ def _critical_beta(solution: ClusteringSolution, build, cache: Optional[dict]) -
 
     Only the largest top eigenvalue, and the first cluster that has it,
     reach the result, so a block that provably cannot reach it is not
-    solved. Blocks missing from the cache are visited widest first (by
-    Frobenius norm), and one is skipped when a bound b on its spectral
-    radius (see _radius_bounds) has b * (1 + _SKIP_SLACK) below the largest
-    eigenvalue already known at this k. The result is bitwise the one from
-    solving every block: the solver's value, a Jacobi diagonal or the
-    Rayleigh quotient of the Lanczos Ritz vector, exceeds the lambda_max of
-    an n x n matrix by rounding alone, and the computed b falls short of rho
-    by rounding alone, each a small multiple of n*n*eps relative to rho.
+    solved. Blocks missing from the cache are visited widest first, by their
+    Frobenius norm b (see _frobenius_bound), which bounds the spectral
+    radius rho, and one is skipped when b * (1 + _SKIP_SLACK) is below the
+    largest eigenvalue already known at this k. The result is bitwise the
+    one from solving every block: the solver's value, a Jacobi diagonal or
+    the Rayleigh quotient of the Lanczos Ritz vector, exceeds the lambda_max
+    of an n x n matrix by rounding alone, and the computed b falls short of
+    rho by rounding alone, each a small multiple of n*n*eps relative to rho.
     For n up to _SKIP_MAX_ORDER that is at most a hundredth of the slack, so
     a skipped block's solver value would have been strictly below the kept
     maximum, and neither the max nor its first argmax moves. A block with a
@@ -137,15 +123,10 @@ def _critical_beta(solution: ClusteringSolution, build, cache: Optional[dict]) -
             lmax[j] = cache[block]
         else:
             M = build(members)
-            bounds = _radius_bounds(M)
-            unsolved.append((next(bounds), bounds, j, block, M))
+            unsolved.append((_frobenius_bound(M), j, block, M))
     best = lmax.max()
-    for first, bounds, j, block, M in sorted(unsolved, key=lambda u: u[0], reverse=True):
-        if (
-            best > 0.0
-            and M.shape[0] <= _SKIP_MAX_ORDER
-            and any(b * (1.0 + _SKIP_SLACK) < best for b in itertools.chain([first], bounds))
-        ):
+    for bound, j, block, M in sorted(unsolved, key=lambda u: u[0], reverse=True):
+        if best > 0.0 and M.shape[0] <= _SKIP_MAX_ORDER and bound * (1.0 + _SKIP_SLACK) < best:
             continue
         cache[block], _ = largest_eigenvalue(M)
         lmax[j] = cache[block]
@@ -166,9 +147,10 @@ def critical_beta(
     raised. Each scatter is taken about its member mean, so
     solution.centroids is not read. cache, when given, is a dict owned by
     one sweep over data; blocks are keyed by member set, so a cluster that
-    recurs with the same members is solved once. A scatter whose certified
-    spectral-radius bound is below the largest eigenvalue already known is
-    not solved; the result is bitwise the same (see _critical_beta).
+    recurs with the same members is solved once. A scatter whose Frobenius
+    norm, a bound on its spectral radius, is below the largest eigenvalue
+    already known is not solved; the result is bitwise the same (see
+    _critical_beta).
     """
     return _critical_beta(solution, lambda m: scatter_matrix(data, m), cache)
 
@@ -254,17 +236,25 @@ def persistence_profile(
     that it cannot (see spectral_basis). A cluster block is a function of
     its members, so one that recurs across k (same members) has its top
     eigenvalue solved once, from a cache that lives only for this call, and
-    a block whose spectral-radius bound is below the largest eigenvalue
-    known at its k is not solved. The output is the same as clustering and
-    solving every k, and every block, from scratch.
+    a block whose Frobenius norm is below the largest eigenvalue known at
+    its k is not solved. The output is the same as clustering and solving
+    every k, and every block, from scratch.
     Kernel mode raises ValueError before building the N x N matrices when
     sigma is None, not positive or has 2 sigma^2 not positive and finite,
     or when they would not fit in physical memory.
 
     The points are unweighted (p_i = 1/N), as in the paper's scatters.
-    restarts < 1 and the other bad arguments raise ValueError before any
-    clustering or kernel work starts.
+    A k_max, k_min or restarts that is not an integer (numbers.Integral,
+    not bool), a seed that is not a non-negative integer, restarts < 1 and
+    the other bad arguments raise ValueError before any clustering or
+    kernel work starts.
     """
+    integers = (("k_max", k_max), ("k_min", k_min), ("restarts", restarts), ("seed", seed))
+    for name, value in integers:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     if k_max > data.n - 1:

@@ -18,7 +18,7 @@ from clusterpersist import (
     scatter_matrix,
 )
 import clusterpersist.linalg as linalg
-from clusterpersist.linalg import _EPS, _JACOBI_MAX_ORDER, _norm, jacobi_eigh
+from clusterpersist.linalg import _JACOBI_MAX_ORDER, _norm, jacobi_eigh
 from helpers import DATA_DIR, blobs, sym
 
 
@@ -641,20 +641,6 @@ def test_scatter_matrix_is_exactly_symmetric_and_bitwise_the_oracle(n, d):
             want = D.T @ D
             assert np.array_equal(S, S.T)
             assert np.array_equal(S, (want + want.T) / 2.0)
-
-
-def test_sturm_test_stops_early_with_the_same_answer():
-    # _below_spectrum is the all-negative test on _ldl_pivots, stopped at
-    # the first pivot that is not negative; the shifts include the ends of
-    # the spectrum, the diagonal entries and a pivot near zero
-    rng = np.random.default_rng(5)
-    for m in range(1, 40):
-        a = rng.normal(size=m).tolist()
-        b = [0.0] + rng.normal(size=m - 1).tolist()
-        w = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
-        for x in w.tolist() + a + [w[0] - 1.0, w[-1] + 1.0, w[-1] + 4.0 * _EPS, a[0] - 1e-17]:
-            want = all(d < 0.0 for d in linalg._ldl_pivots(a, b, x))
-            assert linalg._below_spectrum(a, b, x) == want
 
 
 def count_lanczos_steps(monkeypatch):

@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterpersist.clustering as clustering
 import clusterpersist.persistence as persistence
 from clusterpersist import (
     ClusteringSolution,
@@ -333,16 +335,23 @@ def test_kernel_sweep_matches_uncached_sweep_byte_for_byte(monkeypatch):
     ref = uncached_profile(ds, **args)
     eighs = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: eighs.append(M.shape) or eigh(M))
+
+    def counted_eigh(M):
+        # the Lanczos inner solve calls eigh too; count the embedding's alone
+        if sys._getframe(1).f_globals["__name__"] == clustering.__name__:
+            eighs.append(M.shape)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     blocks = counting_eigensolver(monkeypatch)
     prof = persistence_profile(ds, **args)
     assert prof.to_csv() == ref.to_csv()
     assert prof.to_json_dict() == ref.to_json_dict()
     # one Laplacian eigendecomposition per sweep, of the whole (N, N)
-    # Laplacian since this graph is connected, each kernel block solved at
-    # most once, and fewer distinct blocks solved than the unpruned sweep
+    # Laplacian since this graph is connected, and each kernel block solved
+    # at most once
     assert eighs == [(ds.n, ds.n)]
-    assert len(set(blocks)) == len(blocks) < len(set(ref_blocks))
+    assert len(set(blocks)) == len(blocks) <= len(set(ref_blocks))
 
 
 def test_linear_sweep_matches_uncached_sweep_byte_for_byte():
@@ -436,19 +445,22 @@ def test_skipped_block_is_solved_when_it_recurs_as_the_widest(monkeypatch):
     assert len(cache) == 1
 
 
-def test_block_the_sweep_sets_aside_still_solves_on_its_own():
-    # at k=3 one kernel block's bound is below the k=3 maximum, so the sweep
-    # sets it aside; solved on its own, the block must still match eigvalsh
+def test_block_the_sweep_sets_aside_still_solves_on_its_own(monkeypatch):
+    # at k=5 a kernel block's Frobenius norm is below the k=5 maximum, so the
+    # sweep sets it aside; solved on its own, the block must still match
+    # eigvalsh
     ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 80, 0.01, seed=0))
+    solved = counting_eigensolver(monkeypatch)
     prof = persistence_profile(ds, k_max=5, mode="kernel", sigma=0.15, restarts=4, seed=1)
     assert prof.k_t == 2
     K = gaussian_kernel(ds, 0.15)
-    stuck = kernel_scatter_matrix(K, prof.per_k_solutions[3].members(2))
+    stuck = kernel_scatter_matrix(K, prof.per_k_solutions[5].members(0))
+    assert stuck.tobytes() not in solved
     lam, _ = largest_eigenvalue(stuck)
     ref = np.linalg.eigvalsh(stuck)[-1]
     assert abs(lam - ref) <= 1e-12 * abs(ref)
-    top = 1.0 / (2.0 * prof.beta_bar[3])
-    assert min(persistence._radius_bounds(stuck)) * (1.0 + persistence._SKIP_SLACK) < top
+    top = 1.0 / (2.0 * prof.beta_bar[5])
+    assert persistence._frobenius_bound(stuck) * (1.0 + persistence._SKIP_SLACK) < top
 
 
 def radius_bound_cases():
@@ -478,12 +490,11 @@ def radius_bound_cases():
 def test_radius_bounds_are_at_least_the_spectral_radius(M):
     n = M.shape[0]
     rho = float(np.abs(np.linalg.eigvalsh(M)).max())
-    bounds = list(persistence._radius_bounds(M))
-    assert len(bounds) == (1 if rho == 0.0 else 3)
-    for b in bounds:
-        assert math.isfinite(b)
-        # the bound and eigvalsh each round by a few n*eps
-        assert b >= rho * (1.0 - 4.0 * n * np.finfo(float).eps)
+    b = persistence._frobenius_bound(M)
+    assert math.isfinite(b)
+    assert (b == 0.0) == (rho == 0.0)
+    # the bound and eigvalsh each round by a few n*eps
+    assert b >= rho * (1.0 - 4.0 * n * np.finfo(float).eps)
 
 
 def test_block_is_its_member_set_whatever_the_centroids(monkeypatch):
@@ -543,3 +554,32 @@ def test_bad_sweep_arguments_fail_before_any_work(monkeypatch):
     for sigma in (math.nan, math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="2 sigma\\^2 finite and nonzero"):
             persistence_profile(ds, k_max=3, mode="kernel", sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(k_max=3.5), "k_max must be an integer"),
+        (dict(k_min=1.5), "k_min must be an integer"),
+        (dict(restarts=2.5), "restarts must be an integer"),
+        (dict(restarts=True), "restarts must be an integer"),
+        (dict(seed=-1), "seed must be non-negative"),
+        (dict(seed=1.0), "seed must be an integer"),
+    ],
+)
+def test_non_integer_sweep_arguments_fail_before_the_kernel_is_built(monkeypatch, bad, match):
+    built = []
+    monkeypatch.setattr(persistence, "gaussian_kernel", lambda *a: built.append(a))
+    ds = blobs([(0, 0), (5, 5)], 0.4, 15, seed=1)
+    args = dict(k_max=3, mode="kernel", sigma=1.0, restarts=2, seed=0, k_min=1)
+    with pytest.raises(ValueError, match=match):
+        persistence_profile(ds, **{**args, **bad})
+    assert built == []
+
+
+def test_numpy_integer_sweep_arguments_are_accepted():
+    ds = blobs([(0, 0), (5, 5)], 0.4, 15, seed=1)
+    args = dict(k_max=4, restarts=2, seed=3, k_min=2)
+    want = persistence_profile(ds, **args)
+    got = persistence_profile(ds, **{name: np.int64(v) for name, v in args.items()})
+    assert got.to_csv() == want.to_csv()
