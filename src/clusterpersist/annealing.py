@@ -16,9 +16,11 @@ Every point carries the mass p_i = 1/N, read from Dataset.weights (the
 fixed point scales by the scalar 1/N, which is each of its entries): the
 estimator's scatters are unweighted, and so are the predictions checked here.
 
-The logits are one C-contiguous (k, N) array built on Dataset.sq_norms, so
-the max and the softmax sums reduce over k rows, in numpy's order for a row
-of k values: the results are bitwise those of the (N, k) formulas. Bad input
+The logits are one C-contiguous (k, N) array built on Dataset.sq_norms, and
+the posterior stays in that layout: the max and the softmax sums add its k
+rows of N values in turn, and the fixed point takes the centroid masses as
+contiguous row sums. The free energy adds its N terms with numpy's pairwise
+sum rather than a BLAS dot, whose bits depend on the thread count. Bad input
 raises ValueError before any work, by scalar and shape checks only.
 """
 from __future__ import annotations
@@ -66,37 +68,6 @@ class AnnealTrace:
         return buf.getvalue()
 
 
-_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longer rows are summed by halves
-
-
-def _row_order_sum(T: np.ndarray) -> np.ndarray:
-    """T.sum(axis=0), added in the order numpy sums a contiguous row of k
-    values, so it is bitwise np.ascontiguousarray(T.T).sum(axis=1).
-
-    Below 8 values numpy adds left to right; up to 128 it keeps eight running
-    sums, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the
-    leftover values; above 128 it halves, rounds the first half down to a
-    multiple of 8 and recurses. The + 0.0 is numpy's additive identity: it
-    turns a -0.0 leaf into +0.0, as numpy's result is never -0.0.
-    """
-    k = T.shape[0]
-    if k > _PAIRWISE_BLOCK:
-        h = k // 2
-        h -= h % 8
-        return _row_order_sum(T[:h]) + _row_order_sum(T[h:])
-    if k < 8:
-        s, tail = T[0] + 0.0, 1
-    else:
-        tail = k - k % 8
-        r = T[:8] + 0.0
-        for i in range(8, tail, 8):
-            r += T[i : i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in T[tail:]:
-        s += row
-    return s
-
-
 def _shifted_logits(data: Dataset, centroids: np.ndarray, beta: float):
     """aT - m and m, where aT[j, i] = -beta ||x_i - y_j||^2 is one C-contiguous
     (k, N) array and m[i] is the max over j (exact in any order). numpy
@@ -121,13 +92,13 @@ def _shifted_logits(data: Dataset, centroids: np.ndarray, beta: float):
 
 def gibbs_associations(data: Dataset, centroids: np.ndarray, beta: float) -> np.ndarray:
     """Row-stochastic p(j|i) = softmax_j(-beta ||x_i - y_j||^2), overflow-safe,
-    as a C-contiguous (N, k) array."""
+    as an (N, k) view of a C-contiguous (k, N) array: its .T is that array."""
     if not 0.0 <= beta < math.inf:
         raise ValueError("beta must be nonnegative and finite")
     eT = _shifted_logits(data, centroids, beta)[0]
     np.exp(eT, out=eT)
-    eT /= _row_order_sum(eT)
-    return np.ascontiguousarray(eT.T)
+    eT /= eT.sum(axis=0)
+    return eT.T
 
 
 def free_energy(data: Dataset, centroids: np.ndarray, beta: float) -> float:
@@ -136,8 +107,8 @@ def free_energy(data: Dataset, centroids: np.ndarray, beta: float) -> float:
         raise ValueError("beta must be positive and finite")
     eT, m = _shifted_logits(data, centroids, beta)
     np.exp(eT, out=eT)
-    lse = m + np.log(_row_order_sum(eT))
-    return float(-(data.weights @ lse) / beta)
+    lse = m + np.log(eT.sum(axis=0))
+    return float(-(data.weights * lse).sum() / beta)
 
 
 def da_fixed_point(
@@ -163,6 +134,11 @@ def da_fixed_point(
     with the last movement as the residual. Callers that only need positions
     resolved to a coarser scale can pass accept: a final movement at or below
     it is returned instead of raising.
+
+    Each evaluation calls gibbs_associations once, takes the (k, N) array
+    behind its result, scales it in place by 1/N, and forms the masses as its
+    row sums and the weighted sums as one product with the points. A
+    centroid with zero mass stays where it is.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
@@ -172,10 +148,10 @@ def da_fixed_point(
     Y = np.atleast_2d(np.asarray(centroids_init, dtype=float)).copy()
     Y0 = Y1 = None  # the cycle's start and first image, once F(Y0) is known
     for _ in range(max_iter):
-        wP = gibbs_associations(data, Y, beta)
-        wP *= w
-        mass = wP.sum(axis=0)
-        Ynew = wP.T @ X
+        wPT = gibbs_associations(data, Y, beta).T
+        wPT *= w
+        mass = wPT.sum(axis=1)
+        Ynew = wPT @ X
         nz = mass > 0
         np.divide(Ynew, mass[:, None], out=Ynew, where=nz[:, None])
         np.copyto(Ynew, Y, where=~nz[:, None])

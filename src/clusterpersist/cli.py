@@ -112,6 +112,13 @@ def _write_text(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _seed(text: str) -> int:
+    """The --seed type: numpy seeds its generators only from integers >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_source_args(p: argparse.ArgumentParser, require_gen: bool = False) -> None:
     if require_gen:
         p.add_argument("--gen", choices=_GENERATORS, required=True,
@@ -125,7 +132,7 @@ def _add_source_args(p: argparse.ArgumentParser, require_gen: bool = False) -> N
         p.add_argument("--has-header", action="store_true",
                        help="skip the first CSV row")
     _add_gen_params(p)
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=None,
                    help="z-score each coordinate before analysis "
                    "(default: on for --input, off for --gen)")
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = subs.add_parser("gen", help="write a synthetic dataset as CSV")
     p_gen.add_argument("shape", choices=_GENERATORS, help="dataset family")
     _add_gen_params(p_gen)
-    p_gen.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_gen.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     p_gen.add_argument("--output", default=None, help="output path (default stdout)")
     p_gen.set_defaults(func=_cmd_gen, parser=p_gen)
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from clusterpersist import (
     posterior_covariance,
 )
 import clusterpersist.annealing as annealing
-from helpers import blobs
+from helpers import blobs, child_env
 
 
 def line_mixture(seed):
@@ -118,10 +121,35 @@ def test_free_energy_approaches_distortion_from_below():
         F = free_energy(ds, Y, beta)
         assert F <= D + 1e-12
         gaps.append((D - F, D))
-    # at beta=100 the associations are one-hot to machine precision, so the
-    # gap closes completely up to rounding
-    assert gaps[0][0] > gaps[1][0] > gaps[2][0] >= -1e-12
+    # from beta=10 on the associations are one-hot to machine precision, so
+    # the gap has closed up to rounding, and its sign there is a last bit
+    assert gaps[0][0] > 1e-12
+    assert all(abs(gap) <= 1e-12 for gap, _ in gaps[1:])
     assert abs(gaps[2][0]) < 0.05 * gaps[2][1]
+
+
+_FREE_ENERGY_CHILD = """
+import numpy as np
+from clusterpersist import Dataset, free_energy
+X = np.random.default_rng(0).normal(size=(40_000, 2))
+print(free_energy(Dataset(X), np.array([[0.5, -0.5]]), 0.7).hex())
+"""
+
+
+def test_free_energy_bits_do_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS dot splits a sum this long between its threads, and
+    # so rounds it otherwise than one thread does
+    bits = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-c", _FREE_ENERGY_CHILD],
+            capture_output=True,
+            text=True,
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert res.returncode == 0, res.stderr
+        bits.append(res.stdout)
+    assert bits[0] == bits[1]
 
 
 def test_free_energy_requires_positive_beta():
@@ -317,6 +345,14 @@ def test_trace_csv_layout():
 # The formulas of the annealing toolkit as first written, each with its own
 # distance matrix and logits and one posterior evaluation per group; the
 # package must reproduce them bit for bit.
+def oracle_row_sum(e):
+    """Each row of e summed left to right, one column at a time."""
+    s = e[:, 0].copy()
+    for j in range(1, e.shape[1]):
+        s += e[:, j]
+    return s
+
+
 def oracle_gibbs_associations(data, centroids, beta):
     X = data.points
     Y = np.atleast_2d(centroids)
@@ -325,7 +361,7 @@ def oracle_gibbs_associations(data, centroids, beta):
     a = -beta * d2
     a -= a.max(axis=1, keepdims=True)
     e = np.exp(a)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / oracle_row_sum(e)[:, None]
 
 
 def oracle_free_energy(data, centroids, beta):
@@ -335,8 +371,8 @@ def oracle_free_energy(data, centroids, beta):
     np.maximum(d2, 0.0, out=d2)
     a = -beta * d2
     m = a.max(axis=1)
-    lse = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-    return float(-(data.weights @ lse) / beta)
+    lse = m + np.log(oracle_row_sum(np.exp(a - m[:, None])))
+    return float(-(data.weights * lse).sum() / beta)
 
 
 def oracle_posterior_covariance(data, centroids, beta, j):
@@ -358,7 +394,7 @@ def oracle_hessian_quadratic_form(data, centroids, beta, psi):
     P = oracle_gibbs_associations(data, Y, beta)
     total = 0.0
     for j in range(Y.shape[0]):
-        mass = float(w @ P[:, j])
+        mass = float(w @ np.ascontiguousarray(P[:, j]))
         if mass <= 0:
             continue
         C = oracle_posterior_covariance(data, Y, beta, j)
@@ -373,11 +409,11 @@ def oracle_hessian_quadratic_form(data, centroids, beta, psi):
 
 def oracle_centroid_map(data, Y, beta):
     X, w = data.points, data.weights
-    P = oracle_gibbs_associations(data, Y, beta)
-    mass = (w[:, None] * P).sum(axis=0)
+    wPT = np.ascontiguousarray((w[:, None] * oracle_gibbs_associations(data, Y, beta)).T)
+    mass = wPT.sum(axis=1)
     Ynew = Y.copy()
     nz = mass > 0
-    Ynew[nz] = ((w[:, None] * P).T @ X)[nz] / mass[nz, None]
+    Ynew[nz] = (wPT @ X)[nz] / mass[nz, None]
     return Ynew
 
 
@@ -452,10 +488,12 @@ def oracle_anneal_schedule(data, betas, fixed_point, scale=1e-6):
 def oracle_datasets():
     """One dataset with centroid sets of one to five rows, coincident rows
     and one far from every point included, and sets of 8, 9, 17 and 129
-    rows, which numpy sums with eight running sums and, above 128, by
-    halves. Then the da_trace benchmark's shape: four Gaussians, N = 1000,
-    whose first split is near beta = 0.02, with 1, 2, 4 and 8 centroids; from
-    two on the last is far from every point, so at beta = 1 its mass is zero."""
+    rows: there summing each point's k terms left to right differs from
+    numpy's order for a contiguous row of k values, eight running sums and,
+    above 128, halves. Then the da_trace benchmark's shape: four Gaussians,
+    N = 1000, whose first split is near beta = 0.02, with 1, 2, 4 and 8
+    centroids; from two on the last is far from every point, so at beta = 1
+    its mass is zero."""
     rng = np.random.default_rng(11)
     wide = np.random.default_rng(13)
     ds = blobs([(0, 0), (4, 1), (1, 5)], 0.7, 20, seed=3)
@@ -490,7 +528,7 @@ def test_associations_and_free_energy_are_bitwise_the_oracle():
     for ds, Y in oracle_datasets():
         for beta in ORACLE_BETAS:
             P = gibbs_associations(ds, Y, beta)
-            assert P.flags.c_contiguous
+            assert P.T.flags.c_contiguous
             assert np.array_equal(P, oracle_gibbs_associations(ds, Y, beta))
             if beta > 0:
                 assert free_energy(ds, Y, beta) == oracle_free_energy(ds, Y, beta)
@@ -546,34 +584,6 @@ def test_fixed_point_continues_from_the_second_image_when_the_cycle_is_straight(
     Y = da_fixed_point(ds, mu, 1.0, tol=0.0, max_iter=3, accept=np.inf)
     assert np.isfinite(Y).all()
     assert np.array_equal(Y, mu)
-
-
-def row_order_input(k, n, seed):
-    """k x n values spread over many binades, a column of -0.0 and, from two
-    rows on, an overflowing pair and an infinity."""
-    rng = np.random.default_rng(seed)
-    T = rng.standard_normal((k, n)) * np.exp(rng.uniform(-30.0, 30.0, size=(k, n)))
-    T[:, 0] = -0.0
-    if k >= 2:
-        T[:2, 1] = 1e308
-        T[-1, 2] = -np.inf
-    return T
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_row_order_sum_is_bitwise_numpys_row_sum():
-    for k in range(1, 301):
-        T = row_order_input(k, 19, seed=k)
-        want = np.ascontiguousarray(T.T).sum(axis=1)
-        assert annealing._row_order_sum(T).tobytes() == want.tobytes(), k
-
-
-@pytest.mark.parametrize("k", [7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 256, 257])
-def test_row_order_sum_of_softmax_terms_at_the_block_boundaries(k):
-    # exp'd shifted logits over 1000 points, as gibbs_associations sums them
-    E = np.exp(-np.abs(np.random.default_rng(k).normal(size=(k, 1000))))
-    want = np.ascontiguousarray(E.T).sum(axis=1)
-    assert annealing._row_order_sum(E).tobytes() == want.tobytes()
 
 
 def test_fixed_point_rejects_zero_iterations_before_any_work(monkeypatch):

@@ -108,6 +108,23 @@ def test_unknown_shape_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["estimate", "--gen", "two-disks", "--n", "20", "--k-max", "3"],
+        ["profile", "--gen", "two-disks", "--n", "20", "--k-max", "3"],
+        ["gen", "two-disks", "--n", "20"],
+        ["da-trace", "--gen", "two-disks", "--n", "20"],
+    ],
+    ids=["estimate", "profile", "gen", "da-trace"],
+)
+def test_negative_seed_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_runtime_error(capsys, tmp_path):
     code, out, err = run_cli(
         ["estimate", "--input", str(tmp_path / "nope.csv"), "--k-max", "3"],
@@ -264,7 +281,7 @@ PINNED_STDOUT = [
      "c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0", None),
     ("da-trace --gen gaussians4 --output {tmp}/trace.csv",
      "6d99c50a2d8b7bd81e60ba6bf639d5fa9bdf41d82a990bb19c2665b43ef7bd4f",
-     "28253f21b9cc0af71e5284f46d462591c4d3e075530fb335db649a7521d34a17"),
+     "d74918c3784bd639475172c9670c1d3f02561fe14bb43195cb997abca8a2a6e8"),
 ]
 
 
