@@ -203,7 +203,10 @@ def hessian_quadratic_form(
 ) -> float:
     """Evaluate the free-energy Hessian form in direction psi (one d-vector
     per centroid); positivity for all psi means the configuration is still a
-    minimum, and the first sign change marks the phase transition."""
+    minimum, and the first sign change marks the phase transition.
+
+    Its length-N sums are numpy's pairwise sums over contiguous rows, not
+    BLAS dot products, whose order depends on the BLAS thread count."""
     X, w = data.points, data.weights
     Y = np.atleast_2d(centroids)
     psi = np.atleast_2d(psi)
@@ -212,7 +215,7 @@ def hessian_quadratic_form(
     P = gibbs_associations(data, Y, beta)
     total = 0.0
     for j in range(Y.shape[0]):
-        mass = float(w @ P[:, j])
+        mass = float((w * P.T[j]).sum())
         if mass <= 0:
             continue
         C = _posterior_covariance(data, P, Y, j)
@@ -222,7 +225,7 @@ def hessian_quadratic_form(
     proj = np.zeros(X.shape[0])
     for j in range(Y.shape[0]):
         proj += P[:, j] * ((X - Y[j]) @ psi[j])
-    total += 2.0 * beta * beta * float(w @ (proj * proj))
+    total += 2.0 * beta * beta * float((w * (proj * proj)).sum())
     return total
 
 

@@ -17,13 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import _EPS, _sq_distances
+from .linalg import _BLOCK_BYTES, _EPS, _sq_distances
 
 __all__ = ["ClusteringSolution", "kmeans", "spectral_basis", "spectral_cluster"]
 
 _LLOYD_CAP = 300
-# Lloyd refreshes its distance matrix in row blocks of about this many bytes
-_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass

@@ -21,6 +21,15 @@ Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
 numpy.linalg.eigh is deliberately not used on the input matrix here: it
 solves only the small projected tridiagonal of Lanczos, and serves as an
 independent oracle in the test suite and inside the spectral embedding.
+
+No routine here makes a temporary as large as its N x N input or result.
+gaussian_kernel builds K in place inside X @ X.T, one row block of about
+_BLOCK_BYTES at a time; kernel_scatter_matrix symmetrizes its block in
+place, a tile at a time; the symmetry checks go by tiles and the Lanczos
+infinity norm by row blocks; the Lanczos basis gets more rows only as its
+steps need them. Each keeps the bits of the whole-matrix expression: the
+steps are elementwise, or sums that stay whole within a row, or the same
+BLAS calls on arrays of the same shape and strides.
 """
 from __future__ import annotations
 
@@ -50,6 +59,20 @@ _JACOBI_MAX_ORDER = 5
 _LANCZOS_RTOL = 1e-10   # Ritz residual, relative to ||M||_inf, that ends a block
 _CERTIFIED_RTOL = 1e-8  # explicit residual bound, relative to max(1, ||M||_inf)
 _EPS = float(np.finfo(float).eps)
+# Work on an N x N array goes in row blocks, or square tiles, of about this
+# many bytes, so that no temporary beside the array is larger
+_BLOCK_BYTES = 256 * 1024
+_TILE = math.isqrt(_BLOCK_BYTES // 8)  # side of a square tile of float64
+
+
+def _blocks(n: int, size: int) -> list:
+    """Slices that cut range(n) into runs of size, the last one shorter."""
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
+def _block_rows(width: int) -> int:
+    """Rows of width float64 values in one block, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def _sq_distances(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -61,19 +84,40 @@ def _sq_distances(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
+    """M, or its upper triangle mirrored when M is only nearly symmetric.
+
+    The checks go tile by tile, each tile on or above the diagonal against
+    its mirror image transposed, so no N x N temporary is made. A NaN fails
+    every comparison, so finiteness is checked first, a band of rows at a
+    time. An exactly symmetric matrix of one tile passes after one call per
+    check, as in the thousands of 2 x 2 covariances of an anneal.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix must be finite")
-    if (M == M.T).all():
+    if M.shape[0] <= _TILE and np.isfinite(M).all() and (M == M.T).all():
         return M
-    scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.T).max() > 1e-12 * scale:
+    bands = _blocks(M.shape[0], _TILE)
+    if not all([np.isfinite(M[r]).all() for r in bands]):
+        raise ValueError("matrix must be finite")
+    pairs = [(r, c) for i, r in enumerate(bands) for c in bands[i:]]
+    if all([(M[r, c] == M[c, r].T).all() for r, c in pairs]):
+        return M
+    scale = max(1.0, max([np.abs(M[r]).max() for r in bands]))
+    if max([np.abs(M[r, c] - M[c, r].T).max() for r, c in pairs]) > 1e-12 * scale:
         raise ValueError("matrix must be symmetric")
     # Jacobi rotations cannot remove an antisymmetric part, so a matrix
-    # accepted as nearly symmetric is solved as its upper triangle mirrored
-    return np.triu(M) + np.triu(M, 1).T
+    # accepted as nearly symmetric is solved as its upper triangle mirrored,
+    # with the bits and the C order of np.triu(M) + np.triu(M, 1).T, whose
+    # entries are each an entry of M plus 0.0
+    out = np.add(M, 0.0, order="C")
+    for r, c in pairs:
+        if r is c:
+            T = out[r, r]
+            T[...] = np.triu(T) + np.triu(T, 1).T
+        else:
+            out[c, r] = out[r, c].T
+    return out
 
 
 def _norm(x: np.ndarray) -> float:
@@ -167,8 +211,16 @@ def _start_vector(n: int) -> np.ndarray:
 
 def _tridiagonal_top(a: list, b: list) -> Tuple[float, np.ndarray]:
     """Top eigenpair of the tridiagonal T with diagonal a and off-diagonal b,
-    b[i] coupling rows i-1 and i (b[0] = 0), from LAPACK's dense solver."""
-    T = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
+    b[i] coupling rows i-1 and i (b[0] = 0), from LAPACK's dense solver.
+
+    T is one array, its three diagonals written through flat slices; the
+    main one is added to zeros, as in np.diag(a) + ..., which gives +0.0 for
+    a -0.0.
+    """
+    m = len(a)
+    T = np.zeros((m, m))
+    T.flat[:: m + 1] += a
+    T.flat[1 :: m + 1] = T.flat[m :: m + 1] = b[1:]
     w, S = np.linalg.eigh(T)
     return float(w[-1]), S[:, -1]
 
@@ -206,16 +258,23 @@ def _lanczos(M: np.ndarray) -> Tuple[float, np.ndarray]:
     its explicit residual.
     """
     n = M.shape[0]
-    norm = float(np.abs(M).sum(axis=1).max())  # infinity norm, >= ||M||_2
+    # infinity norm, >= ||M||_2, a block of whole rows at a time
+    norm = max([float(np.abs(M[r]).sum(axis=1).max()) for r in _blocks(n, _block_rows(n))])
     q = _start_vector(n)
     if norm == 0.0:
         return 0.0, q
     stop = _LANCZOS_RTOL * norm
-    Q = np.empty((n, n))  # basis rows; the pages of rows never reached stay untouched
+    # basis rows, doubled in number when a step, or a restart's next row,
+    # needs more; Q[: m + 1] has the shape and strides of an n x n basis
+    Q = np.empty((min(n, _block_rows(n)), n))
     blocks = []  # (theta, s, first basis row) of each finished block
     first, a, b = 0, [], [0.0]  # T of the current block, scaled by 1 / norm
     outside = None  # Frobenius mass of M / norm outside the finished blocks
     for m in range(n):
+        if len(Q) < min(m + 2, n):
+            grown = np.empty((min(2 * len(Q), n), n))
+            grown[:m] = Q[:m]
+            Q = grown
         Q[m] = q
         w = M @ q
         a.append(float(q @ w) / norm)
@@ -315,13 +374,19 @@ def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndar
     rm = B.mean(axis=1)
     c = B.mean()
     # the gathered copy is centered and symmetrized in place, with the
-    # rounded steps of (A + A.T) / 2 for A = B - rm[:, None] - rm[None, :] + c;
-    # numpy reads the overlapping B.T from a copy
+    # rounded steps of (A + A.T) / 2 for A = B - rm[:, None] - rm[None, :] + c,
+    # one tile and its mirror image at a time: x + y is y + x, so both take
+    # the same bits
     B -= rm[:, None]
     B -= rm[None, :]
     B += c
-    B += B.T
-    B /= 2.0
+    bands = _blocks(len(B), _TILE)
+    for i, r in enumerate(bands):
+        for col in bands[i:]:
+            S = B[r, col] + B[col, r].T
+            S /= 2.0
+            B[r, col] = S
+            B[col, r] = S.T
     return B
 
 
@@ -337,15 +402,28 @@ def _kernel_denominator(sigma: float) -> float:
 def gaussian_kernel(data: Dataset, sigma: float) -> np.ndarray:
     """Dense Gaussian similarity matrix exp(-||xi-xj||^2 / (2 sigma^2)).
 
+    K is the product X @ X.T, turned into the kernel in place one row block
+    at a time, with the rounded steps of _sq_distances and then of
+    exp(-d2 / (2 sigma^2)); only a block-sized buffer is made beside it.
     Exactly symmetric as computed: Dataset points are contiguous, so numpy
-    computes X @ X.T with BLAS syrk, one triangle copied.
+    computes X @ X.T with BLAS syrk, one triangle copied, and each step maps
+    a pair of equal entries to equal values, x2[i] + x2[j] being
+    x2[j] + x2[i] (Dataset.sq_norms is bitwise (X * X).sum(axis=1)).
     """
     two_s2 = _kernel_denominator(sigma)
-    X = data.points
-    K = _sq_distances(X, data.sq_norms, X)
-    # exp(-d2 / two_s2), step for step, in place
-    np.negative(K, out=K)
-    K /= two_s2
-    np.exp(K, out=K)
+    X, x2 = data.points, data.sq_norms
+    K = X @ X.T
+    rows = _block_rows(len(K))
+    buf = np.empty((min(rows, len(K)), len(K)))
+    for r in _blocks(len(K), rows):
+        G = K[r]
+        S = buf[: len(G)]
+        np.add(x2[r, None], x2, out=S)
+        G *= 2.0
+        np.subtract(S, G, out=G)
+        np.maximum(G, 0.0, out=G)
+        np.negative(G, out=G)
+        G /= two_s2
+        np.exp(G, out=G)
     np.fill_diagonal(K, 1.0)
     return K

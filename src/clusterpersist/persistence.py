@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
 from .dataset import Dataset
-from .linalg import _kernel_denominator
+from .linalg import _block_rows, _blocks, _kernel_denominator
 from .linalg import gaussian_kernel, kernel_scatter_matrix, largest_eigenvalue, scatter_matrix
 
 __all__ = [
@@ -42,10 +42,13 @@ class CriticalBeta(NamedTuple):
     cluster: int
 
 
-# K, the Laplacian and its eigenvectors: the N x N float64 arrays a kernel
-# sweep holds at once while it embeds a connected graph, the worst case (a
-# disconnected one holds only per-component blocks beside K; eigh's
-# workspace comes on top, so the guard rejects only sweeps that cannot fit)
+# The N x N float64 arrays a kernel sweep holds at once, in its worst phase.
+# gaussian_kernel holds K and one row block; spectral_basis holds K, the
+# Laplacian and its eigenvectors for a connected graph, the worst case, or
+# K and per-component blocks for a disconnected one; the critical-beta loop
+# holds K and the cluster blocks of one k, whose squared sizes sum to at
+# most N^2. eigh's workspace comes on top, so the guard rejects only sweeps
+# that cannot fit.
 _KERNEL_DENSE_ARRAYS = 3
 
 
@@ -78,14 +81,21 @@ _SKIP_MAX_ORDER = math.isqrt(int(1e-2 * _SKIP_SLACK / np.finfo(float).eps))
 def _frobenius_bound(M: np.ndarray) -> float:
     """||M||_F, an upper bound on the spectral radius of a symmetric M.
 
-    It is taken of M scaled by its largest entry, so that no scale of M
-    overflows or underflows. A plain function, so that no scaled copy stays
-    alive while the caller builds later blocks.
+    It is taken of M scaled by its largest magnitude m, so that no scale of
+    M overflows or underflows. The squares of M / m are summed one row block
+    at a time, each block by one dot product: a matrix of one block gets the
+    bits of m * np.linalg.norm(M / m), and over several blocks the sum
+    rounds within the n*n*eps that _critical_beta allows for. A NaN anywhere
+    in M makes m, and so the bound, NaN; an inf makes it NaN too.
     """
-    m = float(np.abs(M).max())
+    m = float(np.maximum(M.max(), -M.min()))
     if m == 0.0:
         return 0.0
-    return m * float(np.linalg.norm(M / m))
+    total = 0.0
+    for r in _blocks(len(M), _block_rows(M.shape[1])):
+        x = (M[r] / m).ravel(order="K")
+        total += float(x.dot(x))
+    return m * math.sqrt(total)
 
 
 def _critical_beta(solution: ClusteringSolution, build, cache: Optional[dict]) -> CriticalBeta:

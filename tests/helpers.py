@@ -1,6 +1,7 @@
 """Small utilities shared across test modules."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,25 @@ def child_env(**extra):
         os.environ.get("PYTHONPATH"),
     ]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
+def allocation_peak(fn, *args):
+    """fn(*args) and the most bytes it held allocated at once above the level
+    at entry, by tracemalloc. numpy reports its buffers to tracemalloc, so
+    unlike the resident set size of this process the figure does not depend
+    on what the allocator kept from earlier calls."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base
 
 
 def gate_4a_profile():

@@ -152,6 +152,30 @@ def test_free_energy_bits_do_not_depend_on_the_blas_thread_count():
     assert bits[0] == bits[1]
 
 
+_HESSIAN_CHILD = """
+import numpy as np
+from clusterpersist import Dataset, hessian_quadratic_form
+rng = np.random.default_rng(0)
+X = rng.normal(size=(40_000, 2))
+Y = np.array([[0.5, -0.5], [-0.4, 0.6]])
+print(hessian_quadratic_form(Dataset(X), Y, 0.7, rng.normal(size=Y.shape)).hex())
+"""
+
+
+def test_hessian_form_bits_do_not_depend_on_the_blas_thread_count():
+    bits = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-c", _HESSIAN_CHILD],
+            capture_output=True,
+            text=True,
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert res.returncode == 0, res.stderr
+        bits.append(res.stdout)
+    assert bits[0] == bits[1]
+
+
 def test_free_energy_requires_positive_beta():
     ds = blobs([(0, 0)], 1.0, 5, seed=0)
     with pytest.raises(ValueError, match="beta must be positive"):
@@ -394,7 +418,7 @@ def oracle_hessian_quadratic_form(data, centroids, beta, psi):
     P = oracle_gibbs_associations(data, Y, beta)
     total = 0.0
     for j in range(Y.shape[0]):
-        mass = float(w @ np.ascontiguousarray(P[:, j]))
+        mass = float((w * np.ascontiguousarray(P[:, j])).sum())
         if mass <= 0:
             continue
         C = oracle_posterior_covariance(data, Y, beta, j)
@@ -403,7 +427,7 @@ def oracle_hessian_quadratic_form(data, centroids, beta, psi):
     proj = np.zeros(X.shape[0])
     for j in range(Y.shape[0]):
         proj += P[:, j] * ((X - Y[j]) @ psi[j])
-    total += 2.0 * beta * beta * float(w @ (proj * proj))
+    total += 2.0 * beta * beta * float((w * (proj * proj)).sum())
     return total
 
 

@@ -142,7 +142,8 @@ def test_squared_norms_are_a_read_only_derived_attribute():
 
 def test_hot_paths_read_the_stored_norms():
     # one more unit on every stored squared norm adds 1 to every distance:
-    # the free energy and the k-means distortion rise by 1, the kernel shrinks
+    # the free energy and the k-means distortion rise by 1. The kernel reads
+    # the stored norms of both points, so its distances rise by 2
     rng = np.random.default_rng(4)
     centers = np.repeat([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0], [0.0, 9.0, 0.0]], 14, axis=0)
     ds = Dataset(centers + rng.normal(size=centers.shape))
@@ -155,4 +156,4 @@ def test_hot_paths_read_the_stored_norms():
     assert got == pytest.approx(1.0, rel=1e-12)
     off = ~np.eye(ds.n, dtype=bool)
     ratio = gaussian_kernel(shifted, 2.0)[off] / gaussian_kernel(ds, 2.0)[off]
-    assert np.allclose(ratio, np.exp(-0.5 / 4.0), rtol=1e-12)
+    assert np.allclose(ratio, np.exp(-2.0 / 8.0), rtol=1e-12)

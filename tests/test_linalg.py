@@ -19,7 +19,7 @@ from clusterpersist import (
 )
 import clusterpersist.linalg as linalg
 from clusterpersist.linalg import _JACOBI_MAX_ORDER, _norm, jacobi_eigh
-from helpers import DATA_DIR, blobs, sym
+from helpers import DATA_DIR, allocation_peak, blobs, sym
 
 
 def test_identity_top_eigenvalue():
@@ -334,6 +334,51 @@ def test_near_symmetric_input_solves_to_eigvalsh():
     assert abs(largest_eigenvalue(M)[0] - want[-1]) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [linalg._TILE - 1, linalg._TILE, linalg._TILE + 1, 2 * linalg._TILE + 1])
+def test_symmetry_checks_across_tile_edges(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    M = sym(rng, n)
+    for X in (M, np.asfortranarray(M)):
+        assert linalg._require_symmetric(X) is X
+    # an asymmetry of 1e-14 in the last tile, below the diagonal, is mirrored
+    # away, bit for bit and layout for layout as by the whole-matrix formula,
+    # which also turns a -0.0 above the diagonal into +0.0
+    E = M.copy()
+    E[n - 1, n - 2] += 1e-14
+    E[0, 1], E[1, 0] = -0.0, 0.0
+    want = np.triu(E) + np.triu(E, 1).T
+    for X in (E, np.asfortranarray(E)):
+        got = linalg._require_symmetric(X)
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert got.flags.c_contiguous
+    E[n - 1, n - 2] += 1e-6
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        linalg._require_symmetric(E)
+    # a NaN below the diagonal in the last row, which a mirror would drop
+    E = M.copy()
+    E[n - 1, 0] = np.nan
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(linalg, "_lanczos", no_solver)
+    monkeypatch.setattr(linalg, "_rotate", no_solver)
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        largest_eigenvalue(E)
+
+
+def test_tridiagonal_top_is_the_three_diagonal_sum_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for m in range(1, 40):
+        a = rng.normal(size=m).tolist()
+        a[m // 2] = -0.0
+        b = [0.0] + rng.uniform(0.1, 1.0, size=m - 1).tolist()
+        w, S = np.linalg.eigh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
+        theta, s = linalg._tridiagonal_top(a, b)
+        assert theta == w[-1]
+        assert s.tobytes() == S[:, -1].tobytes()
+
+
 def test_exactly_symmetric_input_passes_through_unchanged():
     # the same object, so layout and signed zeros reach the solvers as given
     for M in (sym(np.random.default_rng(9), 6), np.array([[2.0, -0.0], [-0.0, 2.0]])):
@@ -502,7 +547,10 @@ def test_kernel_scatter_is_bitwise_the_oracle():
     K = gaussian_kernel(normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0)), 0.01)
     before = K.copy()
     rng = np.random.default_rng(3)
-    sizes = [1, 2, 3, 7, 8, 9, 64, 450, 451, 900] + rng.integers(1, len(K), size=10).tolist()
+    # the block is symmetrized one tile pair at a time from the tile side on
+    tile = linalg._TILE
+    sizes = [1, 2, 3, 7, 8, 9, 64, tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1, 450, 451, 900]
+    sizes += rng.integers(1, len(K), size=10).tolist()
     for size in sizes:
         members = rng.choice(len(K), size=size, replace=False)
         for m in (np.sort(members), members):
@@ -626,6 +674,34 @@ def test_gaussian_kernel_is_exactly_symmetric_and_bitwise_the_oracle(n, d):
         K = gaussian_kernel(Dataset(X), 0.7)
         assert np.array_equal(K, K.T)
         assert np.array_equal(K, oracle_gaussian_kernel(np.ascontiguousarray(X), 0.7))
+
+
+@pytest.mark.parametrize("n", [linalg._TILE - 1, linalg._TILE, linalg._TILE + 1, 1350])
+def test_gaussian_kernel_row_blocks_are_bitwise_the_oracle(n):
+    # a kernel of up to _TILE points is one row block; from _TILE + 1 on it
+    # is built block by block in the product X @ X.T
+    X = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0)).points[:n]
+    for sigma in (0.01, 0.7):
+        K = gaussian_kernel(Dataset(X), sigma)
+        assert np.array_equal(K, K.T)
+        assert K.tobytes() == oracle_gaussian_kernel(X, sigma).tobytes()
+
+
+def test_gaussian_kernel_holds_no_second_n_by_n_array():
+    # the gate 4a data; a temporary as large as K takes the peak to 2 K
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
+    K, peak = allocation_peak(gaussian_kernel, ds, 0.01)
+    assert peak <= 1.25 * K.nbytes
+
+
+def test_lanczos_allocates_only_the_basis_rows_it_reaches():
+    # the k = 1 block of gate 4a converges in a few dozen steps; an n x n
+    # basis made up front would allocate as much as the block itself
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
+    M = kernel_scatter_matrix(gaussian_kernel(ds, 0.01), np.arange(ds.n))
+    (lam, v), peak = allocation_peak(largest_eigenvalue, M)
+    assert peak < 0.25 * M.nbytes
+    assert np.linalg.norm(M @ v - lam * v) <= 1e-8 * np.abs(M).sum(axis=1).max()
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (17, 2), (150, 4), (300, 30)])

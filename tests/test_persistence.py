@@ -28,7 +28,7 @@ from clusterpersist import (
     spectral_basis,
     spectral_cluster,
 )
-from helpers import DATA_DIR, blobs, same_partition, sym
+from helpers import DATA_DIR, allocation_peak, blobs, same_partition, sym
 
 
 def manual_solution(X, assignment, k):
@@ -495,6 +495,40 @@ def test_radius_bounds_are_at_least_the_spectral_radius(M):
     assert (b == 0.0) == (rho == 0.0)
     # the bound and eigvalsh each round by a few n*eps
     assert b >= rho * (1.0 - 4.0 * n * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [5, 400])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frobenius_bound_of_a_non_finite_block_is_not_finite(n, bad):
+    # in the last of one row block, or of five
+    assert len(persistence._blocks(n, persistence._block_rows(n))) == (1 if n == 5 else 5)
+    M = sym(np.random.default_rng(n), n)
+    M[n - 1, n - 2] = bad
+    Z = np.zeros((n, n))
+    Z[n - 1, 0] = bad
+    with np.errstate(invalid="ignore"):  # inf / inf
+        assert not math.isfinite(persistence._frobenius_bound(M))
+        assert not math.isfinite(persistence._frobenius_bound(Z))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_frobenius_bound_over_several_row_blocks(scale):
+    # five row blocks, each summed apart
+    M = sym(np.random.default_rng(7), 400) * scale
+    b = persistence._frobenius_bound(M)
+    assert abs(b - scale * np.linalg.norm(M / scale)) <= 1e-13 * b
+
+
+def test_kernel_critical_beta_holds_one_working_block_beside_k():
+    # the k = 1 block of gate 4a is as large as K; a temporary of that size
+    # in building, bounding or solving it takes the peak to 2 K
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0))
+    K = gaussian_kernel(ds, 0.01)
+    sol = ClusteringSolution(k=1, assignment=np.zeros(ds.n, dtype=int), centroids=np.zeros((1, 1)), distortion=0.0)
+    cb, peak = allocation_peak(critical_beta_kernel, sol, K)
+    assert peak <= 1.25 * K.nbytes
+    lam, _ = largest_eigenvalue(kernel_scatter_matrix(K, np.arange(ds.n)))
+    assert cb == (1.0 / (2.0 * lam), 0)
 
 
 def test_block_is_its_member_set_whatever_the_centroids(monkeypatch):
