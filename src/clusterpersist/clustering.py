@@ -61,12 +61,6 @@ class ClusteringSolution:
 _TRANSPOSED_MAX_D = 7
 
 
-def _scoring_copy(X: np.ndarray) -> Optional[np.ndarray]:
-    """The C-contiguous (d, N) copy of X that _score_candidates scores on, or
-    None where the transposed sums would not be bitwise equal."""
-    return np.ascontiguousarray(X.T) if X.shape[1] <= _TRANSPOSED_MAX_D else None
-
-
 def _sample_d2(
     d2: np.ndarray, total: float, trials: int, rng: np.random.Generator, cdf: np.ndarray
 ) -> np.ndarray:
@@ -84,7 +78,8 @@ def _score_candidates(
     X: np.ndarray, XT: Optional[np.ndarray], cand: np.ndarray, out: np.ndarray, diff: np.ndarray
 ) -> np.ndarray:
     """Write ((X - X[c]) ** 2).sum(axis=1), bitwise, into row i of out for
-    each c = cand[i], and return those rows; XT is _scoring_copy(X).
+    each c = cand[i], and return those rows. XT is the C-contiguous (d, N)
+    copy of X, or None above _TRANSPOSED_MAX_D coordinates.
 
     With an XT, all candidates are scored at once, one coordinate row at a
     time, in about a tenth of the time of summing the short rows of X; diff
@@ -113,7 +108,7 @@ def _kmeanspp_init(
     X: np.ndarray, x2: np.ndarray, XT: Optional[np.ndarray], k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy k-means++: sample candidates by the D^2 distribution, keep the
-    one that lowers the potential most; XT is _scoring_copy(X)."""
+    one that lowers the potential most; XT is as in _score_candidates."""
     n = X.shape[0]
     trials = 2 + int(math.log(k)) if k > 1 else 1
     centers = np.empty((k, X.shape[1]))
@@ -121,8 +116,8 @@ def _kmeanspp_init(
     d2 = _sq_distances(X, x2, centers[:1])[:, 0]
     cdf, scores = np.empty(n), np.empty((trials, n))
     diff = np.empty(X.shape if XT is None else scores.shape)
+    total = d2.sum()
     for j in range(1, k):
-        total = d2.sum()
         if not math.isfinite(total):
             raise ValueError(
                 f"k-means++: the squared distances of the points overflow (their sum "
@@ -134,10 +129,13 @@ def _kmeanspp_init(
             cand = _sample_d2(d2, total, trials, rng, cdf)
         alt = _score_candidates(X, XT, cand, scores, diff)
         np.minimum(d2, alt, out=alt)
-        # the first candidate with the lowest potential wins
-        best = int(np.argmin(alt.sum(axis=1)))
+        # the first candidate with the lowest potential wins; its potential
+        # is the pairwise sum of its row, bitwise the next d2.sum()
+        potentials = alt.sum(axis=1)
+        best = int(np.argmin(potentials))
         centers[j] = X[cand[best]]
         d2[:] = alt[best]
+        total = potentials[best]
     return centers
 
 
@@ -155,23 +153,33 @@ def _repair_empty(X: np.ndarray, assign: np.ndarray, means: np.ndarray, counts: 
 
 
 def _cluster_means(
-    X: np.ndarray, assign: np.ndarray, counts: np.ndarray, clusters: np.ndarray, out: np.ndarray
+    XT: np.ndarray, assign: np.ndarray, counts: np.ndarray, clusters: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Set out[j] to the mean of the points of cluster j for each nonempty
-    cluster j listed in clusters, and return out.
+    cluster j listed in clusters, and return out; XT is the C-contiguous
+    (d, N) copy of the points X.
 
-    A stable sort groups the rows by cluster in their original order, so each
-    mean is bitwise X[assign == j].mean(axis=0). Sums that scatter or reduce
-    by segment (bincount, add.at, add.reduceat) add in another order.
+    Each mean is bitwise X[assign == j].mean(axis=0). With two or more
+    coordinates numpy's column sum starts from +0.0 and adds the rows of a
+    cluster in their original order, and so does one weighted bincount per
+    coordinate row of XT, for every cluster at once. With one coordinate
+    numpy sums the column pairwise; a stable sort then groups the rows by
+    cluster in their original order and each cluster is averaged on its own.
+    Segment sums (np.add.reduceat) add in yet another order.
     """
+    clusters = clusters[counts[clusters] > 0]
+    if len(XT) > 1:
+        sums = np.empty((len(XT), len(counts)))
+        for row, coord in zip(sums, XT):
+            row[:] = np.bincount(assign, weights=coord, minlength=len(counts))
+        out[clusters] = sums[:, clusters].T / counts[clusters, None]
+        return out
     # a stable sort of 16-bit keys is a radix sort
     keys = assign.astype(np.int16) if counts.size < 2**15 else assign
-    Xs = X[np.argsort(keys, kind="stable")]
-    sizes = counts.tolist()
-    starts = (np.cumsum(counts) - counts).tolist()
-    for j in clusters.tolist():
-        if sizes[j]:
-            out[j] = Xs[starts[j] : starts[j] + sizes[j]].mean(axis=0)
+    Xs = XT.T[np.argsort(keys, kind="stable")]
+    starts = np.cumsum(counts) - counts
+    for j, lo, size in zip(clusters.tolist(), starts[clusters].tolist(), counts[clusters].tolist()):
+        out[j] = Xs[lo : lo + size].mean(axis=0)
     return out
 
 
@@ -185,62 +193,65 @@ def _refresh(
     columns of the full product: OpenBLAS multiplies two or more rows by two
     or more columns with the same gemm kernel whatever the shape, but takes a
     single row or column through gemv. So no block is a single row, and a
-    single column, which only k = 1 refreshes, is never split.
+    single column, which only k = 1 refreshes, is never split. A refresh of
+    every column hands each row block of d2 to _sq_distances as its output;
+    a refresh of some columns writes its result through a fancy index.
     """
     n, width = X.shape[0], len(cols)
     # no more than n // 2 blocks, so each has two or more rows
     blocks = min(math.ceil(8 * n * width / _BLOCK_BYTES), n // 2) if width > 1 else 1
-    if width == d2.shape[1]:
-        # write whole rows: a fancy-index write of every column makes a
-        # grid100 solve about 11% slower
-        C, cols = centers, slice(None)
-    else:
-        C = centers[cols]
+    whole = width == d2.shape[1]
+    C = centers if whole else centers[cols]
     for b in range(blocks):
         lo, hi = n * b // blocks, n * (b + 1) // blocks
-        d2[lo:hi, cols] = _sq_distances(X[lo:hi], x2[lo:hi], C)
+        if whole:
+            _sq_distances(X[lo:hi], x2[lo:hi], C, out=d2[lo:hi])
+        else:
+            d2[lo:hi, cols] = _sq_distances(X[lo:hi], x2[lo:hi], C)
 
 
 def _lloyd(
-    X: np.ndarray, x2: np.ndarray, centers: np.ndarray, k: int
+    X: np.ndarray, x2: np.ndarray, XT: np.ndarray, centers: np.ndarray, d2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd iterations from the given centers to an assignment fixed point.
+    """Lloyd iterations from the given centers to an assignment fixed point;
+    XT is the C-contiguous (d, N) copy of X, and d2 an N x k scratch array.
 
     Returns the assignment, the centers, each the mean of its members, and
     each point's squared distance to its nearest center. A run settles when
     the assignment after any empty-cluster repair equals the one before, and
     returns the centers it was measured against.
 
-    One N x k matrix holds the distances for the whole run. When it spans
+    The scratch array d2 holds the distances for the whole run. When it spans
     more than one row block, an update gives a new mean and a new column
     only to the clusters that a point entered or left; any other cluster
     kept its members, so its mean and its column are unchanged bit for bit.
-    A smaller matrix is refreshed whole.
+    A smaller matrix is refreshed whole, in place. The row argmin is copied
+    only when a repair edits the assignment, and the distances to the
+    nearest centers are gathered only on the pass that returns.
 
     A run stops early, with a RuntimeWarning, when an assignment equals the
     one two passes before: each assignment fixes the next, so the run would
     cycle until the cap. A run that stops early or at the cap returns its
     last assignment, its means and the minimum of the refreshed matrix.
     """
-    n = X.shape[0]
+    n, k = d2.shape
     centers = centers.copy()
-    d2 = np.empty((n, k))
-    rows, every = np.arange(n), np.arange(k)
+    every = np.arange(k)
     # on a matrix of one block, finding the touched clusters makes a tables
     # solve about 10% slower than refreshing every column
     several_blocks = 8 * n * k > _BLOCK_BYTES
     _refresh(X, x2, centers, d2, every)
     before = assign = np.full(n, -1)
     for _ in range(_LLOYD_CAP):
-        new_assign = np.argmin(d2, axis=1)
-        closest = d2[rows, new_assign]
+        nearest = new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=k)
         if np.any(counts == 0):
-            means = _cluster_means(X, new_assign, counts, every, np.zeros_like(centers))
+            new_assign = nearest.copy()
+            means = _cluster_means(XT, new_assign, counts, every, np.zeros_like(centers))
             _repair_empty(X, new_assign, means, counts)
         moved = new_assign != assign
         if not moved.any():
-            return assign, centers, closest
+            return assign, centers, d2[np.arange(n), nearest]
         if np.array_equal(new_assign, before):
             stop = "in a cycle of two assignments"
             break
@@ -252,7 +263,7 @@ def _lloyd(
             touched = np.union1d(assign[moved], new_assign[moved])
             touched = touched[touched >= 0]
         before, assign = assign, new_assign
-        _cluster_means(X, assign, counts, touched, centers)
+        _cluster_means(XT, assign, counts, touched, centers)
         _refresh(X, x2, centers, d2, touched)
     else:
         stop = f"at the cap of {_LLOYD_CAP}"
@@ -269,9 +280,10 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
 
     Ties in nearest-centroid go to the lowest cluster index; ties across
     restarts go to the lowest restart index. The distortion is the mean
-    squared distance of each point to its centroid (p_i = 1/N). A Lloyd run
-    that reaches the iteration cap before its assignment settles emits a
-    RuntimeWarning and keeps its last assignment.
+    squared distance of each point to its centroid (p_i = 1/N), summed by
+    numpy's pairwise sum, whose bits do not depend on the BLAS thread count.
+    A Lloyd run that reaches the iteration cap before its assignment settles
+    emits a RuntimeWarning and keeps its last assignment.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -281,18 +293,27 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
         raise ValueError("restarts must be at least 1")
     X = data.points
     x2 = data.sq_norms
-    XT = _scoring_copy(X)
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
+    # seeding scores on the transposed copy below 8 coordinates; Lloyd
+    # always sums its means on it
+    XT = np.ascontiguousarray(X.T)
+    scoring = XT if data.d <= _TRANSPOSED_MAX_D else None
+    # the result arrays come before the distance matrix that every restart
+    # reuses, so nothing made after the matrix outlives it; freed, it rejoins
+    # the top of glibc's heap, and the next call's matrix takes the same
+    # pages. A matrix left in a hole below a live array stays resident, and
+    # the next, larger one adds a second N x k to the peak memory
+    assignment, centroids = np.empty(data.n, dtype=np.intp), np.empty((k, data.d))
+    d2 = np.empty((data.n, k))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         rng = np.random.default_rng(child)
-        centers = _kmeanspp_init(X, x2, XT, k, rng)
-        assign, centers, closest = _lloyd(X, x2, centers, k)
-        distortion = float(data.weights @ closest)
-        if best is None or distortion < best[0]:
-            best = (distortion, assign, centers)
-    distortion, assign, centers = best
-    return ClusteringSolution(k=k, assignment=assign, centroids=centers, distortion=distortion)
-
+        centers = _kmeanspp_init(X, x2, scoring, k, rng)
+        assign, centers, closest = _lloyd(X, x2, XT, centers, d2)
+        distortion = float((data.weights * closest).sum())
+        if r == 0 or distortion < best:
+            best = distortion
+            assignment[:] = assign
+            centroids[:] = centers
+    return ClusteringSolution(k=k, assignment=assignment, centroids=centroids, distortion=best)
 
 def _components(linked: np.ndarray) -> list[np.ndarray]:
     """The connected components of the graph whose adjacency is the boolean

@@ -34,7 +34,7 @@ BLAS calls on arrays of the same shape and strides.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,10 +75,29 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * width))
 
 
-def _sq_distances(X: np.ndarray, x2: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _sq_distances(
+    X: np.ndarray, x2: np.ndarray, C: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Squared distances of the rows of X to the rows of C; x2 holds the
-    squared norms of the rows of X."""
-    d2 = x2[:, None] + (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
+    squared norms of the rows of X.
+
+    The rounded steps are (x2 + ||c||^2) - 2 (X @ C.T), clipped at 0. The
+    product goes into out, a C-contiguous (len(X), len(C)) array when given,
+    and each step after it works in place, so the only temporary of the
+    result's size is the x2 + ||c||^2 buffer. matmul with out= makes the
+    gemm call it makes without, so the bits do not depend on out.
+
+    The buffer is the product [x2, 1] @ [1, ||c||^2]^T: both terms of each
+    sum are exact products, so it is rounded once, as by x2[:, None] + c2,
+    but in one BLAS call, where numpy's broadcast add runs a short loop per
+    row, four to eight times slower at the shapes of a Lloyd refresh.
+    """
+    d2 = np.matmul(X, C.T, out=out)
+    d2 *= 2.0
+    xs, cs = np.ones((len(X), 2)), np.ones((2, len(C)))
+    xs[:, 0] = x2
+    cs[1] = (C * C).sum(axis=1)
+    np.subtract(xs @ cs, d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from clusterpersist import (
     spectral_basis,
     spectral_cluster,
 )
-from helpers import blobs, same_partition
+from helpers import blobs, child_env, same_partition
 
 
 def test_kmeans_single_cluster_is_mean():
@@ -550,7 +552,7 @@ def oracle_kmeans(ds, k, restarts, seed, cap=300):
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         assign, centers = oracle_lloyd(X, oracle_kmeanspp_init(X, k, rng), k, cap)
-        distortion = float(ds.weights @ oracle_sq_distances(X, centers).min(axis=1))
+        distortion = float((ds.weights * oracle_sq_distances(X, centers).min(axis=1)).sum())
         if best is None or distortion < best[0]:
             best = (distortion, assign, centers)
     return best
@@ -609,7 +611,7 @@ def test_candidate_scores_are_bitwise_the_row_sums():
     rng = np.random.default_rng(3)
     for d in range(1, 41):
         X = rng.normal(size=(500, d)) * rng.uniform(0.1, 10.0, size=d)
-        XT = clustering._scoring_copy(X)
+        XT = np.ascontiguousarray(X.T) if d <= clustering._TRANSPOSED_MAX_D else None
         # scratch arrays shared by every candidate set, as the draws share them
         out = np.empty((6, 500))
         diff = np.empty(X.shape if XT is None else out.shape)
@@ -620,6 +622,64 @@ def test_candidate_scores_are_bitwise_the_row_sums():
             for row, c in zip(got, cand):
                 want = ((X - X[c]) ** 2).sum(axis=1)
                 assert row.tobytes() == want.tobytes(), f"d={d}, cand={cand.tolist()}, c={c}"
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 13, 30])
+@pytest.mark.parametrize("k", [1, 2, 40, 110])
+def test_cluster_means_are_bitwise_the_member_means(d, k):
+    # coordinates of mixed scales make the order of the additions show in
+    # the last bits; the labels leave clusters 2, 5, 8, ... empty
+    rng = np.random.default_rng(1000 * d + k)
+    n = 600
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, d))
+    assign = rng.integers(0, k, size=n)
+    assign[assign % 3 == 2] = 0
+    # in cluster 0 one column of -0.0 only and one of -0.0 and +0.0: numpy
+    # sums both from +0.0, as bincount does, so both means are +0.0
+    members = assign == 0
+    X[members, 0] = -0.0
+    if d > 1:
+        X[members, 1] = np.where(rng.random(members.sum()) < 0.5, -0.0, 0.0)
+    counts = np.bincount(assign, minlength=k)
+    assert counts[0] >= 2 and (k < 3 or (counts == 0).any())
+    XT = np.ascontiguousarray(X.T)
+    for clusters in (np.arange(k), np.arange(0, k, 2)):
+        out = np.full((k, d), np.nan)
+        got = clustering._cluster_means(XT, assign, counts, clusters, out)
+        assert got is out
+        for j in range(k):
+            if counts[j] and j in clusters:
+                want = X[assign == j].mean(axis=0)
+                assert got[j].tobytes() == want.tobytes(), f"cluster {j}"
+            else:
+                assert np.isnan(got[j]).all(), f"cluster {j}"
+
+
+_KMEANS_CHILD = """
+import numpy as np
+from clusterpersist import Dataset, kmeans
+rng = np.random.default_rng(0)
+for d in (2, 13):
+    sol = kmeans(Dataset(rng.normal(size=(40_000, d))), 1, restarts=1, seed=0)
+    print(d, sol.distortion.hex(), sol.centroids.tobytes().hex())
+"""
+
+
+def test_kmeans_bits_do_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS dot splits a sum this long between its threads, and
+    # so rounds it otherwise than one thread does: a distortion taken as
+    # weights @ closest changes its last bit at d = 13
+    outputs = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-c", _KMEANS_CHILD],
+            capture_output=True,
+            text=True,
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 30])
@@ -658,7 +718,8 @@ def test_kmeans_is_bitwise_the_reference_across_row_blocks(case):
     assert ds.n > clustering._BLOCK_BYTES // (8 * k)
     X = ds.points
     centers = oracle_kmeanspp_init(X, k, np.random.default_rng(k))
-    assign, means, closest = clustering._lloyd(X, ds.sq_norms, centers, k)
+    XT, d2 = np.ascontiguousarray(X.T), np.empty((ds.n, k))
+    assign, means, closest = clustering._lloyd(X, ds.sq_norms, XT, centers, d2)
     want_assign, want_means = oracle_lloyd(X, centers, k)
     np.testing.assert_array_equal(assign, want_assign)
     assert means.tobytes() == want_means.tobytes()
@@ -675,16 +736,17 @@ def test_lloyd_refreshes_only_the_columns_of_touched_clusters(monkeypatch):
     # column alone (gemv), and in blocks of two or more rows
     ds, k = grid_blobs(6, 0.15, 60, seed=1), 34
     X, x2 = ds.points, ds.sq_norms
-    centers = clustering._kmeanspp_init(X, x2, clustering._scoring_copy(X), k, np.random.default_rng(k))
+    XT = np.ascontiguousarray(X.T)
+    centers = clustering._kmeanspp_init(X, x2, XT, k, np.random.default_rng(k))
     calls = []
     real = clustering._sq_distances
 
-    def spied(Xb, x2b, C):
+    def spied(Xb, x2b, C, out=None):
         calls.append((len(Xb), C.copy()))
-        return real(Xb, x2b, C)
+        return real(Xb, x2b, C, out=out)
 
     monkeypatch.setattr(clustering, "_sq_distances", spied)
-    assign, _, _ = clustering._lloyd(X, x2, centers, k)
+    assign, _, _ = clustering._lloyd(X, x2, XT, centers, np.empty((ds.n, k)))
     updates = []
     want_assign, _ = oracle_lloyd(X, centers, k, updates=updates)
     np.testing.assert_array_equal(assign, want_assign)
@@ -718,7 +780,7 @@ def test_lloyd_stops_when_the_assignment_cycles(monkeypatch):
     calls = []
     real = clustering._sq_distances
     monkeypatch.setattr(
-        clustering, "_sq_distances", lambda *args: calls.append(1) or real(*args)
+        clustering, "_sq_distances", lambda *args, **kw: calls.append(1) or real(*args, **kw)
     )
     with pytest.warns(RuntimeWarning, match="k=2: Lloyd iterations stopped in a cycle of two"):
         sol = kmeans(ds, 2, restarts=2, seed=42)
