@@ -4,7 +4,12 @@ spectral clustering (Ng-Jordan-Weiss) for shape data.
 k-means takes unweighted points and uses greedy k-means++ seeding, Lloyd
 iterations to an assignment fixed point, deterministic tie-breaking (lowest
 cluster index, lowest restart index), and empty-cluster repair that
-reassigns the globally farthest point.
+reassigns the globally farthest point. Lloyd measures an N x k distance
+matrix of at most one 256 KiB block whole on every pass. Past that it makes
+no N x k array: Hamerly's triangle-inequality bounds, rounded outward and
+widened by the rounding of a distance, certify the rows whose argmin cannot
+move, and only the other rows are measured. Every output bit is that of
+measuring the whole matrix on every pass.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import _BLOCK_BYTES, _EPS, _sq_distances
+from .linalg import _BLOCK_BYTES, _EPS, _TILE, _blocks, _sq_distances
 
 __all__ = ["ClusteringSolution", "kmeans", "spectral_basis", "spectral_cluster"]
 
@@ -183,67 +188,227 @@ def _cluster_means(
     return out
 
 
-def _refresh(
-    X: np.ndarray, x2: np.ndarray, centers: np.ndarray, d2: np.ndarray, cols: np.ndarray
-) -> None:
-    """Write the squared distances of the points to centers[cols] into d2[:, cols].
+# A floor under every drift bound and, squared, under the rounding bound of
+# the distances: it covers the absolute errors of gradual underflow
+_FLOOR = 2.0**-480
+# Scaling a result of at most three rounded operations by these rounds it
+# outward: above, or below, the exact value it stands for
+_OUT, _IN = 1.0 + 2.0 * _EPS, 1.0 - 2.0 * _EPS
 
-    The rows go to _sq_distances in blocks of about _BLOCK_BYTES of output,
-    so the temporaries stay in cache. Each block is bitwise those rows and
-    columns of the full product: OpenBLAS multiplies two or more rows by two
-    or more columns with the same gemm kernel whatever the shape, but takes a
-    single row or column through gemv. So no block is a single row, and a
-    single column, which only k = 1 refreshes, is never split. A refresh of
-    every column hands each row block of d2 to _sq_distances as its output;
-    a refresh of some columns writes its result through a fancy index.
+
+def _rounding_bound(x2max: float, C: np.ndarray) -> float:
+    """A bound E on |D - ||x - c||^2| for every entry D of
+    _sq_distances(X, x2, C), in exact arithmetic; x2max is the largest x2.
+
+    With u = eps / 2, a dot product of d terms errs by at most
+    d u sum |x_i c_i| <= d u ||x|| ||c|| (to first order in u), in any
+    order of summation, with or without fused multiply-adds, whatever the
+    BLAS kernel; so do the squared norms x2 and ||c||^2. The sum
+    x2 + ||c||^2 rounds once, by at most u (||x||^2 + ||c||^2), the last
+    subtraction once, by at most u times its result, which is below
+    2 (||x||^2 + ||c||^2), and clipping at 0 only brings an entry nearer to
+    the exact value, which is >= 0. In all an entry errs by at most
+    (d + 3/2) eps (||x||^2 + ||c||^2) to first order, and with the
+    second-order terms and this function's own rounding it stays below
+    (d + 2) eps (max x2 + max ||c||^2) for d below 10^7. Gradual underflow
+    adds at most a few d 2^-1074, which the floor 2^-960 in the sum covers;
+    it also keeps E a normal number.
     """
-    n, width = X.shape[0], len(cols)
-    # no more than n // 2 blocks, so each has two or more rows
-    blocks = min(math.ceil(8 * n * width / _BLOCK_BYTES), n // 2) if width > 1 else 1
-    whole = width == d2.shape[1]
-    C = centers if whole else centers[cols]
-    for b in range(blocks):
-        lo, hi = n * b // blocks, n * (b + 1) // blocks
-        if whole:
-            _sq_distances(X[lo:hi], x2[lo:hi], C, out=d2[lo:hi])
-        else:
-            d2[lo:hi, cols] = _sq_distances(X[lo:hi], x2[lo:hi], C)
+    return (C.shape[1] + 2) * _EPS * (x2max + float((C * C).sum(axis=1).max()) + _FLOOR**2)
+
+
+def _drift(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Upper bounds on the exact distances between the rows of new and old.
+
+    The computed norm n of a d-vector of rounded differences is the square
+    root of a sum of d rounded squares, so the exact norm is at most
+    n (1 + (d + 4) eps), less than that where squares underflow: they lose
+    at most d 2^-1074 in all, and so the norm at most sqrt(d) 2^-537, which
+    the floor 2^-480 covers for any d below 2^114. The factor
+    1 + (d + 6) eps also covers the two roundings of (n + floor) * factor.
+    """
+    norm = np.sqrt(((new - old) ** 2).sum(axis=1))
+    return (norm + _FLOOR) * (1.0 + (new.shape[1] + 6) * _EPS)
+
+
+def _gemm_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The sorted indices rows, the first repeated in front where needed, so
+    that one product over those rows of the N = n points gives each row the
+    bits it has in the product over all n.
+
+    OpenBLAS gives an entry the same bits in any call of two or more rows
+    and two or more columns, except that its Haswell kernels, from eight
+    coordinates on, round the last row of an odd number of rows otherwise;
+    in the whole product that is row n - 1 when n is odd. So the count is
+    made even, or odd and at least 3 where rows ends at that row.
+    """
+    odd = len(rows) > 0 and rows[-1] == n - 1 and n % 2 == 1
+    if len(rows) % 2 != odd:
+        rows = np.concatenate([rows[:1], rows])
+    return np.repeat(rows, 3) if len(rows) == 1 else rows
+
+
+class _Bounds:
+    """Hamerly bounds (Hamerly, SDM 2010) over the N x k distance matrix of
+    a Lloyd run, k >= 2, which certify that a point's row still has its
+    argmin where it had it, so that only the other rows are measured.
+
+    Each point keeps nearest, the argmin column of its row when the row was
+    last measured; closest, that row's entry there; an upper bound upper on
+    its exact distance to that center; and a lower bound lower on its exact
+    distance to every other center. When the centers move, upper grows by
+    the drift of its center and lower falls by the largest drift of the
+    others (the triangle inequality).
+
+    Every bound holds in exact arithmetic, and so do both sides of the
+    test below: each is scaled by _OUT (upper side) or _IN (lower side)
+    after at most three rounded operations of relative error eps / 2 each.
+    Those stay in the normal range or are exact: a sum or a difference
+    whose result underflows is exact, an upper bound stays above sqrt(E), a
+    normal number, and a lower bound whose square underflows cannot settle
+    a point. A lower bound that falls to 0 or below stays there until its
+    row is measured again.
+
+    A point is settled when lower > 0 and upper^2 + 2E < lower^2, with E
+    the _rounding_bound of the current centers. The entry of its row at
+    nearest is then at most upper^2 + E, and every other entry at least
+    lower^2 - E > upper^2 + E: nearest is the strict argmin of the row
+    that _sq_distances computes, whatever the call, so the argmin of the
+    whole matrix; an exact tie is never settled. The row of a point that is
+    not settled is measured, against every center, through one scratch
+    block of _BLOCK_BYTES, in blocks of an even number of rows but for a
+    last block that ends at row N - 1 when N is odd (see _gemm_rows; gemv,
+    for one row or column, rounds otherwise too), so these rows are bitwise
+    rows of the whole matrix.
+    """
+
+    def __init__(self, X: np.ndarray, x2: np.ndarray, centers: np.ndarray):
+        n, k = len(X), len(centers)
+        self.X, self.x2, self.x2max = X, x2, float(x2.max())
+        # an even number of rows, and room for the three rows of a last
+        # block that reaches back (see _measure)
+        self.block = np.empty((max(4, _BLOCK_BYTES // (16 * k) * 2), k))
+        self.nearest, self.closest = np.empty(n, dtype=np.intp), np.empty(n)
+        self.upper, self.lower = np.empty(n), np.empty(n)
+        # the update in which each row was last measured and each center moved
+        self.updates = 0
+        self.measured, self.moved = np.zeros(n, dtype=np.intp), np.zeros(k, dtype=np.intp)
+        self._measure(centers, _rounding_bound(self.x2max, centers))
+
+    def _measure(self, centers: np.ndarray, E: float, rows: Optional[np.ndarray] = None):
+        """Measure the rows listed in rows, or every row, and start their
+        bounds afresh."""
+        n = len(self.X)
+        rows = None if rows is None else _gemm_rows(rows, n)
+        m = n if rows is None else len(rows)
+        nearest, first, second = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m)
+        for lo in range(0, m, len(self.block)):
+            hi = min(lo + len(self.block), m)
+            # the odd row n - 1 left alone would go through gemv, so the
+            # last block reaches back two rows
+            lo = lo - 2 if hi - lo == 1 else lo
+            part = slice(lo, hi) if rows is None else rows[lo:hi]
+            D = _sq_distances(self.X[part], self.x2[part], centers, out=self.block[: hi - lo])
+            # argmin along rows of k values runs about three times faster
+            # than min; offsets holds the flat index of each row's start
+            nearest[lo:hi] = a = D.argmin(axis=1)
+            flat, offsets = D.reshape(-1), np.arange(0, D.size, D.shape[1])
+            first[lo:hi] = flat[a + offsets]
+            flat[a + offsets] = np.inf
+            second[lo:hi] = flat[D.argmin(axis=1) + offsets]
+        rows = slice(None) if rows is None else rows
+        self.nearest[rows], self.closest[rows] = nearest, first
+        self.upper[rows] = np.sqrt(first + E) * _OUT
+        self.lower[rows] = np.sqrt(np.maximum(second - E, 0.0)) * _IN
+        self.measured[rows] = self.updates
+
+    def update(self, centers: np.ndarray, touched: np.ndarray, old: np.ndarray) -> np.ndarray:
+        """Move the bounds after the centers listed in touched moved from the
+        rows old, measure the rows not settled, and return a copy of nearest."""
+        self.updates += 1
+        self.moved[touched] = self.updates
+        drift = np.zeros(len(centers))
+        drift[touched] = _drift(centers[touched], old)
+        # the largest drift of the centers other than each one
+        top = int(np.argmax(drift))
+        others = np.full(len(drift), drift[top])
+        others[top] = np.delete(drift, top).max()
+        upper = np.add(self.upper, drift[self.nearest], out=self.upper)
+        upper *= _OUT
+        lower = np.subtract(self.lower, others[self.nearest], out=self.lower)
+        lower *= _IN
+        E = _rounding_bound(self.x2max, centers)
+        reach = upper * upper
+        reach += 2.0 * E
+        reach *= _OUT
+        gap = lower * lower
+        gap *= _IN
+        settled = reach < gap
+        settled &= lower > 0
+        self._measure(centers, E, np.flatnonzero(~settled))
+        return self.nearest.copy()
+
+    def distances(self, centers: np.ndarray) -> np.ndarray:
+        """Each point's entry of the whole matrix against centers at its
+        nearest column: closest, or where that center moved after the row
+        was measured, the entry taken anew by _sq_distances' rounded steps,
+        its product from one gemm call per cluster, of the rows _gemm_rows
+        gives by two columns."""
+        stale = np.flatnonzero(self.moved[self.nearest] > self.measured)
+        if len(stale) == 0:
+            return self.closest
+        stale = stale[np.argsort(self.nearest[stale], kind="stable")]
+        labels = self.nearest[stale]
+        products = np.empty(len(stale))
+        pairs = np.repeat(centers, 2, axis=0)
+        cuts = (np.flatnonzero(np.diff(labels)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(stale)]):
+            j, rows = labels[lo], _gemm_rows(stale[lo:hi], len(self.X))
+            P = self.X[rows] @ pairs[2 * j : 2 * j + 2].T
+            products[lo:hi] = P[len(rows) - (hi - lo) :, 0]
+        c2 = (centers * centers).sum(axis=1)
+        self.closest[stale] = np.maximum((self.x2[stale] + c2[labels]) - 2.0 * products, 0.0)
+        return self.closest
 
 
 def _lloyd(
-    X: np.ndarray, x2: np.ndarray, XT: np.ndarray, centers: np.ndarray, d2: np.ndarray
+    X: np.ndarray, x2: np.ndarray, XT: np.ndarray, centers: np.ndarray, d2: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iterations from the given centers to an assignment fixed point;
-    XT is the C-contiguous (d, N) copy of X, and d2 an N x k scratch array.
+    XT is the C-contiguous (d, N) copy of X. d2 is an N x k scratch array
+    when k = 1 or the matrix is one block of at most _BLOCK_BYTES, and None
+    otherwise.
 
     Returns the assignment, the centers, each the mean of its members, and
     each point's squared distance to its nearest center. A run settles when
     the assignment after any empty-cluster repair equals the one before, and
-    returns the centers it was measured against.
+    returns the centers it was measured against. Every distance, argmin and
+    center is bitwise that of measuring the whole N x k matrix in one
+    _sq_distances call on every pass.
 
-    The scratch array d2 holds the distances for the whole run. When it spans
-    more than one row block, an update gives a new mean and a new column
-    only to the clusters that a point entered or left; any other cluster
-    kept its members, so its mean and its column are unchanged bit for bit.
-    A smaller matrix is refreshed whole, in place. The row argmin is copied
-    only when a repair edits the assignment, and the distances to the
-    nearest centers are gathered only on the pass that returns.
+    With d2 every pass does just that, in place in d2. Without it the run
+    keeps _Bounds: an update gives a new mean only to the clusters that a
+    point entered or left, any other kept its members and so its mean, bit
+    for bit, and only the rows that the bounds cannot settle are measured.
 
     A run stops early, with a RuntimeWarning, when an assignment equals the
     one two passes before: each assignment fixes the next, so the run would
     cycle until the cap. A run that stops early or at the cap returns its
-    last assignment, its means and the minimum of the refreshed matrix.
+    last assignment, its means and each point's distance to its nearest
+    latest center.
     """
-    n, k = d2.shape
+    n, k = len(X), len(centers)
     centers = centers.copy()
     every = np.arange(k)
-    # on a matrix of one block, finding the touched clusters makes a tables
-    # solve about 10% slower than refreshing every column
-    several_blocks = 8 * n * k > _BLOCK_BYTES
-    _refresh(X, x2, centers, d2, every)
+    if d2 is None:
+        bounds = _Bounds(X, x2, centers)
+        nearest = bounds.nearest.copy()
+    else:
+        nearest = np.argmin(_sq_distances(X, x2, centers, out=d2), axis=1)
+    stop = None
     before = assign = np.full(n, -1)
     for _ in range(_LLOYD_CAP):
-        nearest = new_assign = np.argmin(d2, axis=1)
+        new_assign = nearest
         counts = np.bincount(new_assign, minlength=k)
         if np.any(counts == 0):
             new_assign = nearest.copy()
@@ -251,28 +416,32 @@ def _lloyd(
             _repair_empty(X, new_assign, means, counts)
         moved = new_assign != assign
         if not moved.any():
-            return assign, centers, d2[np.arange(n), nearest]
+            break
         if np.array_equal(new_assign, before):
             stop = "in a cycle of two assignments"
             break
-        touched = every
-        if several_blocks:
-            # a moved point leaves one cluster and enters another, so only
-            # k = 1 refreshes a lone column; the label -1 of the first pass
-            # is no cluster
-            touched = np.union1d(assign[moved], new_assign[moved])
-            touched = touched[touched >= 0]
         before, assign = assign, new_assign
-        _cluster_means(XT, assign, counts, touched, centers)
-        _refresh(X, x2, centers, d2, touched)
+        if d2 is None:
+            # a moved point left one cluster and entered another; the label
+            # -1 of the first pass is no cluster
+            touched = np.union1d(before[moved], assign[moved])
+            touched = touched[touched >= 0]
+            old = centers[touched]
+            _cluster_means(XT, assign, counts, touched, centers)
+            nearest = bounds.update(centers, touched, old)
+        else:
+            _cluster_means(XT, assign, counts, every, centers)
+            nearest = np.argmin(_sq_distances(X, x2, centers, out=d2), axis=1)
     else:
         stop = f"at the cap of {_LLOYD_CAP}"
-    warnings.warn(
-        f"k={k}: Lloyd iterations stopped {stop} before the assignment settled",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return assign, centers, d2.min(axis=1)
+    if stop:
+        warnings.warn(
+            f"k={k}: Lloyd iterations stopped {stop} before the assignment settled",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    closest = bounds.distances(centers) if d2 is None else d2[np.arange(n), nearest]
+    return assign, centers, closest
 
 
 def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> ClusteringSolution:
@@ -283,7 +452,14 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     squared distance of each point to its centroid (p_i = 1/N), summed by
     numpy's pairwise sum, whose bits do not depend on the BLAS thread count.
     A Lloyd run that reaches the iteration cap before its assignment settles
-    emits a RuntimeWarning and keeps its last assignment.
+    emits a RuntimeWarning and keeps its last assignment. At k = 1 every
+    restart gives the one cluster of all points, its mean and the same
+    distortion, so only the first runs.
+
+    Where the N x k distance matrix fits in _BLOCK_BYTES, and at k = 1 (one
+    column), Lloyd measures it whole on every pass, into one scratch matrix
+    that every restart reuses. A larger matrix is never made: Lloyd keeps
+    Hamerly bounds and measures only the rows they cannot settle.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -297,14 +473,11 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     # always sums its means on it
     XT = np.ascontiguousarray(X.T)
     scoring = XT if data.d <= _TRANSPOSED_MAX_D else None
-    # the result arrays come before the distance matrix that every restart
-    # reuses, so nothing made after the matrix outlives it; freed, it rejoins
-    # the top of glibc's heap, and the next call's matrix takes the same
-    # pages. A matrix left in a hole below a live array stays resident, and
-    # the next, larger one adds a second N x k to the peak memory
     assignment, centroids = np.empty(data.n, dtype=np.intp), np.empty((k, data.d))
-    d2 = np.empty((data.n, k))
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+    # at most one block, or N values: no N x k matrix is left resident
+    # between calls, in a glibc heap hole or elsewhere
+    d2 = np.empty((data.n, k)) if k == 1 or 8 * data.n * k <= _BLOCK_BYTES else None
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(1 if k == 1 else restarts)):
         rng = np.random.default_rng(child)
         centers = _kmeanspp_init(X, x2, scoring, k, rng)
         assign, centers, closest = _lloyd(X, x2, XT, centers, d2)
@@ -332,6 +505,20 @@ def _components(linked: np.ndarray) -> list[np.ndarray]:
             members += frontier
         comps.append(np.sort(members))
     return comps
+
+
+def _support(K: np.ndarray) -> np.ndarray:
+    """The boolean matrix (K != 0) | (K.T != 0), built one _TILE square and
+    its mirror image at a time, so that no N x N temporary beside it is made."""
+    linked = np.empty(K.shape, dtype=bool)
+    bands = _blocks(len(K), _TILE)
+    for i, r in enumerate(bands):
+        for c in bands[i:]:
+            tile = K[r, c] != 0
+            tile |= K[c, r].T != 0
+            linked[r, c] = tile
+            linked[c, r] = tile.T
+    return linked
 
 
 def _laplacian(K: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -409,7 +596,7 @@ def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
         raise ValueError("isolated point")
     n = K.shape[0]
     s = 1.0 / np.sqrt(deg)
-    comps = _components((K != 0) | (K.T != 0))
+    comps = _components(_support(K))
     if len(comps) == 1:
         # numpy's eigh serves as embedding infrastructure here; the
         # persistence eigenvalue paths use the solvers in linalg

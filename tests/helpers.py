@@ -1,5 +1,7 @@
 """Small utilities shared across test modules."""
 
+import ctypes
+import glob
 import os
 import tracemalloc
 from pathlib import Path
@@ -23,6 +25,20 @@ def child_env(**extra):
         os.environ.get("PYTHONPATH"),
     ]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
+def openblas_corename():
+    """The name of the kernel core that numpy's bundled OpenBLAS runs, or
+    None when no bundled OpenBLAS reports one."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 def allocation_peak(fn, *args):

@@ -140,23 +140,11 @@ def test_criterion_4a_concentric_rings_kernel():
 # name it ran on, k_t and the assignment at every k, as one JSON object. A
 # child whose core is not the one asked for stops before the sweep.
 _GATE_4A_CHILD = """
-import ctypes, glob, json, os, sys
-import numpy as np
+import json, sys
+from helpers import gate_4a_profile, openblas_corename
 
-def corename():
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return None
-
-out = {"core": corename()}
+out = {"core": openblas_corename()}
 if out["core"] == sys.argv[1]:
-    from helpers import gate_4a_profile
     prof = gate_4a_profile()
     out["k_t"] = prof.k_t
     out["assignments"] = {k: s.assignment.tolist() for k, s in prof.per_k_solutions.items()}

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from clusterpersist import (
     spectral_basis,
     spectral_cluster,
 )
-from helpers import blobs, child_env, same_partition
+from helpers import allocation_peak, blobs, child_env, same_partition
 
 
 def test_kmeans_single_cluster_is_mean():
@@ -461,6 +462,27 @@ def test_components_are_taken_on_the_symmetrized_pattern():
     assert spectral_basis(K, 3).tobytes() == oracle_dense_basis(K, 3).tobytes()
 
 
+def test_components_of_an_asymmetric_support_are_built_tile_by_tile():
+    # a K over several tiles whose support is not symmetric: links held on
+    # one side of the diagonal only, within tiles and across them, join
+    # blocks that the other side keeps apart
+    rng = np.random.default_rng(5)
+    n = 2 * clustering._TILE + 50
+    labels = rng.integers(0, 9, size=n)
+    K = np.where(labels[:, None] == labels[None, :], rng.uniform(0.5, 1.0, size=(n, n)), 0.0)
+    K[rng.random((n, n)) < 0.3] = 0.0
+    np.fill_diagonal(K, 1.0)
+    for _ in range(4):
+        i, j = rng.integers(0, n, size=2)
+        K[i, j], K[j, i] = 1e-12, 0.0
+    linked = clustering._support(K)
+    want = (K != 0) | (K.T != 0)
+    assert linked.tobytes() == want.tobytes()
+    got, expected = clustering._components(linked), clustering._components(want)
+    assert [c.tolist() for c in got] == [c.tolist() for c in expected]
+    assert 1 < len(got) < 9
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectral_basis_refuses_a_K_that_is_not_finite(bad):
     K = np.ones((5, 5))
@@ -523,9 +545,7 @@ def oracle_repair_empty(X, assign, means, counts):
         means[j] = X[donor]
 
 
-def oracle_lloyd(X, centers, k, cap=300, updates=None):
-    """updates, when given, collects (assignment before, assignment after,
-    centers after) for each update of the centers."""
+def oracle_lloyd(X, centers, k, cap=300):
     assign = np.full(X.shape[0], -1)
     for _ in range(cap):
         new_assign = np.argmin(oracle_sq_distances(X, centers), axis=1)
@@ -539,10 +559,8 @@ def oracle_lloyd(X, centers, k, cap=300, updates=None):
             oracle_repair_empty(X, new_assign, means, counts)
         if np.array_equal(new_assign, assign):
             break
-        before, assign = assign, new_assign
+        assign = new_assign
         centers = np.vstack([X[assign == j].mean(axis=0) for j in range(k)])
-        if updates is not None:
-            updates.append((before, assign, centers))
     return assign, centers
 
 
@@ -698,13 +716,33 @@ def grid_blobs(side, sd, n_per, seed):
     return blobs([(float(i), float(j)) for i in range(side) for j in range(side)], sd, n_per, seed)
 
 
+def lloyd_scratch(n, k):
+    """The scratch matrix kmeans hands to _lloyd: N x k for k = 1 or one
+    block of k columns, None (Hamerly bounds) past that."""
+    return np.empty((n, k)) if k == 1 or 8 * n * k <= clustering._BLOCK_BYTES else None
+
+
+def lloyd_matches_the_reference(ds, centers, cap=300):
+    """Whether _lloyd, handed the scratch matrix kmeans would hand it, gives
+    the reference's assignment, means and nearest distances bit for bit."""
+    X, k = ds.points, len(centers)
+    XT = np.ascontiguousarray(X.T)
+    assign, means, closest = clustering._lloyd(X, ds.sq_norms, XT, centers, lloyd_scratch(ds.n, k))
+    want_assign, want_means = oracle_lloyd(X, centers, k, cap)
+    return (
+        np.array_equal(assign, want_assign)
+        and means.tobytes() == want_means.tobytes()
+        and closest.tobytes() == oracle_sq_distances(X, want_means).min(axis=1).tobytes()
+    )
+
+
 @pytest.mark.parametrize("case", ["grid-k99", "d13-k60", "d13-k1"])
 def test_kmeans_is_bitwise_the_reference_across_row_blocks(case):
-    # Lloyd refreshes its distance matrix in row blocks and, after the first
-    # two passes, only the columns of the clusters that changed; the oracle
-    # measures every distance in one product. A single column (k = 1) split
-    # into blocks goes through gemv and changes a few distances, by too
-    # little to move the distortion, so every distance is compared.
+    # past one block Lloyd measures only the rows its bounds cannot settle,
+    # in row blocks; the oracle measures every distance in one product. A
+    # single column (k = 1) split into blocks goes through gemv and changes
+    # a few distances, by too little to move the distortion, so every
+    # distance is compared.
     if case == "grid-k99":
         ds, k = grid_blobs(10, 0.1, 50, seed=1), 99
     else:
@@ -716,59 +754,170 @@ def test_kmeans_is_bitwise_the_reference_across_row_blocks(case):
         ds = Dataset(rng.normal(size=(n, 13)) + rng.integers(0, 6, size=(n, 1)) * 2.0)
     # more rows than one block of k columns holds
     assert ds.n > clustering._BLOCK_BYTES // (8 * k)
-    X = ds.points
-    centers = oracle_kmeanspp_init(X, k, np.random.default_rng(k))
-    XT, d2 = np.ascontiguousarray(X.T), np.empty((ds.n, k))
-    assign, means, closest = clustering._lloyd(X, ds.sq_norms, XT, centers, d2)
-    want_assign, want_means = oracle_lloyd(X, centers, k)
-    np.testing.assert_array_equal(assign, want_assign)
-    assert means.tobytes() == want_means.tobytes()
-    assert closest.tobytes() == oracle_sq_distances(X, want_means).min(axis=1).tobytes()
+    assert lloyd_matches_the_reference(ds, oracle_kmeanspp_init(ds.points, k, np.random.default_rng(k)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sol = kmeans(ds, k, restarts=2, seed=k)
     assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=2, seed=k))
 
 
-def test_lloyd_refreshes_only_the_columns_of_touched_clusters(monkeypatch):
-    # on a grid of blobs, after the first two passes only a few clusters gain
-    # or lose a point; each pass must measure just their columns, never one
-    # column alone (gemv), and in blocks of two or more rows
-    ds, k = grid_blobs(6, 0.15, 60, seed=1), 34
+def lattice_case(d, k, seed):
+    """Points past one block of k columns on a lattice of step 1/8, in blobs
+    about k + 3 hubs, every tenth row an exact copy of another and the last
+    rows exactly midway between a seed center and the nearest other one, so
+    that distances tie; and k k-means++ seed centers, the last a copy of the
+    first, so that its cluster starts empty."""
+    rng = np.random.default_rng(seed)
+    n = clustering._BLOCK_BYTES // (8 * k) + 40
+    hubs = rng.uniform(0.0, 6.0, size=(k + 3, d))
+    X = np.round((hubs[rng.integers(0, k + 3, size=n)] + rng.normal(scale=0.5, size=(n, d))) * 8) / 8
+    X[::10] = X[rng.integers(0, n, size=len(X[::10]))]
+    centers = oracle_kmeanspp_init(X, k, rng)
+    if k > 1:
+        centers[-1] = centers[0]
+        for i in range(min(k - 1, 20)):
+            gaps = ((centers[: k - 1] - centers[i]) ** 2).sum(axis=1)
+            gaps[gaps == 0] = np.inf
+            X[-1 - i] = (centers[i] + centers[int(np.argmin(gaps))]) / 2
+    return Dataset(X), centers
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 13])
+@pytest.mark.parametrize("k", [1, 2, 40, 99])
+def test_lloyd_bounds_are_bitwise_the_reference(d, k, monkeypatch):
+    ds, centers = lattice_case(d, k, seed=10 * d + k)
+    repairs = count_repairs(monkeypatch)
+    if k > 1:
+        # rows that tie at their minimum before the first update
+        D = oracle_sq_distances(ds.points, centers)
+        assert ((D == D.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        assert lloyd_scratch(ds.n, k) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lloyd_matches_the_reference(ds, centers)
+        sol = kmeans(ds, k, restarts=2, seed=d)
+    assert len(repairs) >= (k > 1)
+    assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=2, seed=d))
+
+
+@pytest.mark.parametrize(
+    "x, centers",
+    [
+        # an exact tie, broken by moving center 0 2^-40 away
+        ([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]]),
+        # center 1 is one rounding step nearer as computed, and the step of
+        # center 1 one ulp away makes the two entries tie; in exact
+        # arithmetic the distance grows by 2e-12 only, so bounds without
+        # the rounding margin E would settle the point at center 1
+        ([10000.06234957915], [[9998.92102141001], [10001.203677755342]]),
+    ],
+)
+def test_bounds_leave_a_tie_and_a_near_tie_to_be_measured(x, centers):
+    X = np.array([x, np.full(len(x), 5.0)])
+    centers = np.array(centers)
+    bounds = clustering._Bounds(X, Dataset(X).sq_norms, centers)
+    first = np.argmin(oracle_sq_distances(X, centers), axis=1)
+    assert bounds.nearest.tolist() == first.tolist()
+    j = 0 if len(x) == 2 else 1
+    moved = centers.copy()
+    moved[j, 0] = moved[j, 0] + 2.0**-40 if j == 0 else np.nextafter(moved[j, 0], np.inf)
+    nearest = bounds.update(moved, np.array([j]), centers[[j]])
+    want = np.argmin(oracle_sq_distances(X, moved), axis=1)
+    assert want[0] != first[0]
+    assert nearest.tolist() == want.tolist()
+
+
+def test_bounds_settle_every_point_when_the_centers_barely_move(monkeypatch):
+    # two tight blobs far apart, an odd number of points: after a tiny step
+    # of one center no row is measured again, and the distances to the
+    # moved center are taken anew
+    ds = Dataset(blobs([(0, 0), (50, 0)], 0.1, 51, seed=4).points[:101])
     X, x2 = ds.points, ds.sq_norms
-    XT = np.ascontiguousarray(X.T)
-    centers = clustering._kmeanspp_init(X, x2, XT, k, np.random.default_rng(k))
-    calls = []
+    centers = np.array([X[:51].mean(axis=0), X[51:].mean(axis=0)])
+    bounds = clustering._Bounds(X, x2, centers)
+    moved = centers.copy()
+    moved[1, 1] += 1e-6
+    measured = []
     real = clustering._sq_distances
+    monkeypatch.setattr(
+        clustering, "_sq_distances", lambda *a, **kw: measured.append(len(a[0])) or real(*a, **kw)
+    )
+    nearest = bounds.update(moved, np.array([1]), centers[[1]])
+    assert measured == []
+    D = oracle_sq_distances(X, moved)
+    assert nearest.tolist() == np.argmin(D, axis=1).tolist()
+    assert bounds.distances(moved).tobytes() == D.min(axis=1).tobytes()
 
-    def spied(Xb, x2b, C, out=None):
-        calls.append((len(Xb), C.copy()))
-        return real(Xb, x2b, C, out=out)
 
-    monkeypatch.setattr(clustering, "_sq_distances", spied)
-    assign, _, _ = clustering._lloyd(X, x2, XT, centers, np.empty((ds.n, k)))
-    updates = []
-    want_assign, _ = oracle_lloyd(X, centers, k, updates=updates)
-    np.testing.assert_array_equal(assign, want_assign)
-    # one pass per update, plus the first against the seeds
-    passes, rows = [], 0
-    for n_rows, C in calls:
-        assert n_rows >= 2 and len(C) >= 2
-        if rows == 0:
-            passes.append(C)
-        assert C.tobytes() == passes[-1].tobytes()
-        rows = (rows + n_rows) % ds.n
-    assert rows == 0
-    assert len(passes) == len(updates) + 1 >= 4
-    assert passes[0].tobytes() == centers.tobytes()
-    for p, (before, after, means) in enumerate(updates, start=1):
-        moved = before != after
-        touched = np.union1d(before[moved], after[moved])
-        touched = touched[touched >= 0]
-        assert passes[p].tobytes() == means[touched].tobytes(), f"pass {p + 1}"
-        if p >= 2:
-            assert len(touched) < k
-    assert sum(len(C) for C in passes[2:]) < k * len(passes[2:]) / 4
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_lloyd_bounds_keep_the_reference_at_the_cap(cap, monkeypatch):
+    ds, centers = lattice_case(2, 40, seed=cap)
+    monkeypatch.setattr(clustering, "_LLOYD_CAP", cap)
+    with pytest.warns(RuntimeWarning, match=f"k=40: Lloyd iterations stopped at the cap of {cap} "):
+        assert lloyd_matches_the_reference(ds, centers, cap)
+
+
+def test_lloyd_bounds_stop_when_the_assignment_cycles():
+    # as in the test below, past one block of two columns: copies of one
+    # point whose mean is not bitwise the point swap clusters on each pass;
+    # the run stops after two updates, as the reference does at a cap of 2
+    n = clustering._BLOCK_BYTES // 16 + 1
+    ds = Dataset(np.tile([1.4580206835369587, 1.9602583164499647], (n, 1)))
+    with pytest.warns(RuntimeWarning, match="k=2: Lloyd iterations stopped in a cycle of two"):
+        assert lloyd_matches_the_reference(ds, ds.points[:2].copy(), cap=2)
+
+
+def test_kmeans_past_one_block_keeps_no_n_by_k_matrix():
+    ds, k = grid_blobs(10, 0.08, 100, seed=0), 100
+    sol, peak = allocation_peak(kmeans, ds, k, 2, 0)
+    assert peak < 8 * ds.n * k
+    assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=2, seed=0))
+
+
+_BOUNDS_CHILD = """
+import json, sys, warnings
+from helpers import openblas_corename
+out = {"core": openblas_corename()}
+if out["core"] == sys.argv[1]:
+    from test_clustering import lattice_case, lloyd_matches_the_reference
+    warnings.simplefilter("error", RuntimeWarning)
+    out["matches"] = [
+        lloyd_matches_the_reference(*lattice_case(d, k, seed=10 * d + k))
+        for d, k in ((2, 40), (3, 2), (13, 40), (13, 99))
+    ]
+print(json.dumps(out))
+"""
+
+
+def test_lloyd_bounds_are_the_reference_under_a_second_blas_kernel():
+    # the bounds hold for any gemm's rounding, but the rows they leave to be
+    # measured must come out of a block with the bits of the whole product;
+    # the Haswell kernels round the last row of an odd block otherwise from
+    # eight coordinates on, and the cases at d = 13 have an odd N. A BLAS
+    # that cannot switch to Haswell skips
+    want = "Haswell"
+    res = subprocess.run(
+        [sys.executable, "-c", _BOUNDS_CHILD, want],
+        capture_output=True,
+        text=True,
+        env=child_env(OPENBLAS_CORETYPE=want),
+    )
+    assert res.returncode == 0, res.stderr
+    child = json.loads(res.stdout.strip().splitlines()[-1])
+    if child["core"] != want:
+        pytest.skip(f"OpenBLAS did not switch to {want} kernels; its core is {child['core']}")
+    assert child["matches"] == [True] * 4
+
+
+def test_kmeans_at_k_1_runs_one_restart(monkeypatch):
+    # every restart gives the one cluster of all points, so the first wins
+    ds = blobs([(0, 0), (4, 1)], 1.0, 50, seed=2)
+    seeded = []
+    real = clustering._kmeanspp_init
+    monkeypatch.setattr(clustering, "_kmeanspp_init", lambda *a: seeded.append(1) or real(*a))
+    sol = kmeans(ds, 1, restarts=5, seed=3)
+    assert len(seeded) == 1
+    assert_matches_oracle(sol, oracle_kmeans(ds, 1, restarts=5, seed=3))
 
 
 def test_lloyd_stops_when_the_assignment_cycles(monkeypatch):
