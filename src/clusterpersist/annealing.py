@@ -16,11 +16,12 @@ Every point carries the mass p_i = 1/N, read from Dataset.weights (the
 fixed point scales by the scalar 1/N, which is each of its entries): the
 estimator's scatters are unweighted, and so are the predictions checked here.
 
-The logits are one C-contiguous (k, N) array built on Dataset.sq_norms, and
-the posterior stays in that layout: the max and the softmax sums add its k
-rows of N values in turn, and the fixed point takes the centroid masses as
-contiguous row sums. The free energy adds its N terms with numpy's pairwise
-sum rather than a BLAS dot, whose bits depend on the thread count. Bad input
+The logits are the (N, k) squared distances of linalg._sq_distances, those
+of k-means, copied into one C-contiguous (k, N) array, and the posterior
+stays in that layout: the max and the softmax sums add its k rows of N
+values in turn, and the fixed point takes the centroid masses as contiguous
+row sums. The free energy adds its N terms with numpy's pairwise sum rather
+than a BLAS dot, whose bits depend on the thread count. Bad input
 raises ValueError before any work, by scalar and shape checks only.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import _norm, largest_eigenvalue
+from .linalg import _norm, _sq_distances, largest_eigenvalue
 
 __all__ = [
     "AnnealTrace",
@@ -73,18 +74,12 @@ def _shifted_logits(data: Dataset, centroids: np.ndarray, beta: float):
     (k, N) array and m[i] is the max over j (exact in any order). numpy
     reduces over k rows of N values far faster than along N rows of k.
 
-    Each distance takes the rounded steps of linalg._sq_distances,
-    (||y||^2 + ||x||^2) - 2 x.y clipped at 0: the sum commutes and the
-    doubling is exact, so the (k, N) layout keeps every bit."""
+    aT is -beta times a transposed copy of _sq_distances(points, sq_norms,
+    Y), taken in (N, k) like the distances of k-means, with their bits."""
     Y = np.atleast_2d(centroids)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != data.d:
         raise ValueError(f"centroids must be a nonempty (k, {data.d}) array")
-    G = data.points @ Y.T
-    G *= 2.0
-    aT = (Y * Y).sum(axis=1)[:, None] + data.sq_norms
-    aT -= G.T
-    np.maximum(aT, 0.0, out=aT)
-    aT *= -beta
+    aT = np.multiply(_sq_distances(data.points, data.sq_norms, Y).T, -beta, order="C")
     m = aT.max(axis=0)
     aT -= m
     return aT, m

@@ -58,6 +58,14 @@ class ClusteringSolution:
         return np.flatnonzero(self.assignment == j)
 
 
+def _require_integer(name: str, value, minimum: float = -math.inf) -> None:
+    """ValueError unless value is an integer (numbers.Integral, not bool) of
+    at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        floor = "" if minimum == -math.inf else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+
+
 # numpy sums a row of fewer than 8 values left to right, which is also the
 # order in which adding the rows of the transposed copy sums each column;
 # from 8 values on it sums a row pairwise in blocks of 8, the two orders
@@ -351,23 +359,18 @@ class _Bounds:
     def distances(self, centers: np.ndarray) -> np.ndarray:
         """Each point's entry of the whole matrix against centers at its
         nearest column: closest, or where that center moved after the row
-        was measured, the entry taken anew by _sq_distances' rounded steps,
-        its product from one gemm call per cluster, of the rows _gemm_rows
-        gives by two columns."""
+        was measured, column 0 of one _sq_distances call per cluster, by
+        that center twice and the rows _gemm_rows gives (see there)."""
         stale = np.flatnonzero(self.moved[self.nearest] > self.measured)
         if len(stale) == 0:
             return self.closest
         stale = stale[np.argsort(self.nearest[stale], kind="stable")]
         labels = self.nearest[stale]
-        products = np.empty(len(stale))
-        pairs = np.repeat(centers, 2, axis=0)
         cuts = (np.flatnonzero(np.diff(labels)) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, len(stale)]):
             j, rows = labels[lo], _gemm_rows(stale[lo:hi], len(self.X))
-            P = self.X[rows] @ pairs[2 * j : 2 * j + 2].T
-            products[lo:hi] = P[len(rows) - (hi - lo) :, 0]
-        c2 = (centers * centers).sum(axis=1)
-        self.closest[stale] = np.maximum((self.x2[stale] + c2[labels]) - 2.0 * products, 0.0)
+            D = _sq_distances(self.X[rows], self.x2[rows], centers[[j, j]])
+            self.closest[stale[lo:hi]] = D[len(rows) - (hi - lo) :, 0]
         return self.closest
 
 
@@ -459,8 +462,11 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     Where the N x k distance matrix fits in _BLOCK_BYTES, and at k = 1 (one
     column), Lloyd measures it whole on every pass, into one scratch matrix
     that every restart reuses. A larger matrix is never made: Lloyd keeps
-    Hamerly bounds and measures only the rows they cannot settle.
+    Hamerly bounds and measures only the rows they cannot settle. k and
+    restarts must be integers.
     """
+    _require_integer("k", k)
+    _require_integer("restarts", restarts)
     if k <= 0:
         raise ValueError("k must be positive")
     if k > data.n:
@@ -583,8 +589,7 @@ def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
     k_max must be an integer >= 1. K must be a square matrix of finite
     values whose rows have positive sums.
     """
-    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 1:
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+    _require_integer("k_max", k_max, 1)
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be a square matrix, got shape {K.shape}")
@@ -640,8 +645,9 @@ def spectral_cluster(
     k_max >= k. The first k columns, the eigenvectors of the symmetric
     normalized Laplacian with smallest eigenvalue, embed the points; the rows
     are normalized and kmeans clusters them. The returned centroids and
-    distortion refer to the embedding space.
+    distortion refer to the embedding space. k must be an integer.
     """
+    _require_integer("k", k)
     if not 1 <= k <= basis.shape[1]:
         raise ValueError(f"k must lie in 1..{basis.shape[1]}, the columns of the basis")
     U = basis[:, :k]

@@ -22,6 +22,9 @@ numpy.linalg.eigh is deliberately not used on the input matrix here: it
 solves only the small projected tridiagonal of Lanczos, and serves as an
 independent oracle in the test suite and inside the spectral embedding.
 
+Every squared distance in the package is finished from its dot products by
+_finish_sq_distances, the only code that takes those rounded steps.
+
 No routine here makes a temporary as large as its N x N input or result.
 gaussian_kernel builds K in place inside X @ X.T, one row block of about
 _BLOCK_BYTES at a time; kernel_scatter_matrix symmetrizes its block in
@@ -79,27 +82,28 @@ def _sq_distances(
     X: np.ndarray, x2: np.ndarray, C: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Squared distances of the rows of X to the rows of C; x2 holds the
-    squared norms of the rows of X.
+    squared norms of the rows of X. The product X @ C.T, whose entries can
+    differ from those of C @ X.T in the last place, goes into out, a
+    C-contiguous (len(X), len(C)) array when given (matmul with out= makes
+    the gemm call it makes without), and is finished there in place."""
+    return _finish_sq_distances(np.matmul(X, C.T, out=out), x2, (C * C).sum(axis=1))
 
-    The rounded steps are (x2 + ||c||^2) - 2 (X @ C.T), clipped at 0. The
-    product goes into out, a C-contiguous (len(X), len(C)) array when given,
-    and each step after it works in place, so the only temporary of the
-    result's size is the x2 + ||c||^2 buffer. matmul with out= makes the
-    gemm call it makes without, so the bits do not depend on out.
 
-    The buffer is the product [x2, 1] @ [1, ||c||^2]^T: both terms of each
-    sum are exact products, so it is rounded once, as by x2[:, None] + c2,
-    but in one BLAS call, where numpy's broadcast add runs a short loop per
-    row, four to eight times slower at the shapes of a Lloyd refresh.
-    """
-    d2 = np.matmul(X, C.T, out=out)
-    d2 *= 2.0
-    xs, cs = np.ones((len(X), 2)), np.ones((2, len(C)))
-    xs[:, 0] = x2
-    cs[1] = (C * C).sum(axis=1)
-    np.subtract(xs @ cs, d2, out=d2)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _finish_sq_distances(P: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """(a2[i] + b2[j]) - 2 P[i, j], clipped at 0, in place in P, the dot
+    products of rows of squared norms a2 and b2: the only code that takes
+    these steps. The sums are the product [a2, 1] @ [1, b2]^T, the one
+    temporary of P's size: both terms of each are exact products, so each
+    is rounded once, as by a2[:, None] + b2, but in one BLAS call, where
+    numpy's broadcast add runs a short loop per row, four to eight times
+    slower at the shapes of a Lloyd refresh."""
+    P *= 2.0
+    xs, cs = np.ones((len(a2), 2)), np.ones((2, len(b2)))
+    xs[:, 0] = a2
+    cs[1] = b2
+    np.subtract(xs @ cs, P, out=P)
+    np.maximum(P, 0.0, out=P)
+    return P
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -350,12 +354,14 @@ def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     small tridiagonal eigh calls, hold for one BLAS build, kernel and thread
     count. The residual ||Mv - lambda v|| is at most
     1e-8 * max(1, ||M||_inf); a Lanczos pair that misses this bound raises
-    RuntimeError with its residual. A matrix that is not square, not finite
-    or not symmetric raises ValueError first; one within the symmetry
+    RuntimeError with its residual. A matrix that is not square, not finite,
+    not symmetric or empty raises ValueError first; one within the symmetry
     tolerance but not exactly symmetric is solved as its upper triangle
     mirrored.
     """
     M = _require_symmetric(M)
+    if len(M) == 0:
+        raise ValueError("matrix must not be empty")
     if M.shape[0] <= _JACOBI_MAX_ORDER:
         w, V = jacobi_eigh(M)
         return float(w[-1]), V[:, -1]
@@ -422,8 +428,8 @@ def gaussian_kernel(data: Dataset, sigma: float) -> np.ndarray:
     """Dense Gaussian similarity matrix exp(-||xi-xj||^2 / (2 sigma^2)).
 
     K is the product X @ X.T, turned into the kernel in place one row block
-    at a time, with the rounded steps of _sq_distances and then of
-    exp(-d2 / (2 sigma^2)); only a block-sized buffer is made beside it.
+    at a time, by _finish_sq_distances and then the rounded steps of
+    exp(-d2 / (2 sigma^2)); only a block-sized temporary is made beside it.
     Exactly symmetric as computed: Dataset points are contiguous, so numpy
     computes X @ X.T with BLAS syrk, one triangle copied, and each step maps
     a pair of equal entries to equal values, x2[i] + x2[j] being
@@ -432,15 +438,8 @@ def gaussian_kernel(data: Dataset, sigma: float) -> np.ndarray:
     two_s2 = _kernel_denominator(sigma)
     X, x2 = data.points, data.sq_norms
     K = X @ X.T
-    rows = _block_rows(len(K))
-    buf = np.empty((min(rows, len(K)), len(K)))
-    for r in _blocks(len(K), rows):
-        G = K[r]
-        S = buf[: len(G)]
-        np.add(x2[r, None], x2, out=S)
-        G *= 2.0
-        np.subtract(S, G, out=G)
-        np.maximum(G, 0.0, out=G)
+    for r in _blocks(len(K), _block_rows(len(K))):
+        G = _finish_sq_distances(K[r], x2[r], x2)
         np.negative(G, out=G)
         G /= two_s2
         np.exp(G, out=G)

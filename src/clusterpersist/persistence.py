@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
+from .clustering import _require_integer
 from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
 from .dataset import Dataset
 from .linalg import _block_rows, _blocks, _kernel_denominator
@@ -261,8 +261,7 @@ def persistence_profile(
     """
     integers = (("k_max", k_max), ("k_min", k_min), ("restarts", restarts), ("seed", seed))
     for name, value in integers:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_integer(name, value)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if k_max < 2:

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from clusterpersist import (
     posterior_covariance,
 )
 import clusterpersist.annealing as annealing
+from clusterpersist.linalg import _sq_distances
 from helpers import blobs, child_env
 
 
@@ -126,6 +128,69 @@ def test_free_energy_approaches_distortion_from_below():
     assert gaps[0][0] > 1e-12
     assert all(abs(gap) <= 1e-12 for gap, _ in gaps[1:])
     assert abs(gaps[2][0]) < 0.05 * gaps[2][1]
+
+
+# (d, N, k): on OpenBLAS's SkylakeX kernels Y @ X.T differs from
+# (X @ Y.T).T in the last place at d = 4, 18 and 61, on its Haswell kernels
+# at d = 8, 18 and 61; (2, 1000, 8) is the da_trace benchmark's widest shape
+_ORIENTATION_SHAPES = [
+    (1, 50, 1), (2, 1000, 8), (4, 337, 16), (8, 40, 5), (18, 265, 20), (61, 195, 15)
+]
+
+
+def logits_against_the_one_routine():
+    """For each of _ORIENTATION_SHAPES, whether _shifted_logits at beta = 1
+    is bitwise -_sq_distances(points, sq_norms, Y).T less its column max,
+    and whether Y @ X.T differs from (X @ Y.T).T there."""
+    cases = []
+    for d, n, k in _ORIENTATION_SHAPES:
+        rng = np.random.default_rng([d, n, k])
+        ds, Y = Dataset(rng.normal(size=(n, d))), rng.normal(size=(k, d))
+        aT, m = annealing._shifted_logits(ds, Y, 1.0)
+        want = -_sq_distances(ds.points, ds.sq_norms, Y).T
+        want_m = want.max(axis=0)
+        want -= want_m
+        same = aT.flags.c_contiguous and aT.tobytes() == want.tobytes()
+        swapped = not np.array_equal(Y @ ds.points.T, (ds.points @ Y.T).T)
+        cases.append([bool(same and m.tobytes() == want_m.tobytes()), swapped])
+    return cases
+
+
+def test_logits_are_the_one_squared_distance_routine():
+    # the logits take the distances in (N, k), with the product X @ Y.T that
+    # k-means takes; the other orientation rounds otherwise at some shapes
+    cases = logits_against_the_one_routine()
+    assert all(same for same, _ in cases)
+    assert any(swapped for _, swapped in cases)
+
+
+_LOGITS_CHILD = """
+import json, sys
+from helpers import openblas_corename
+out = {"core": openblas_corename()}
+if out["core"] == sys.argv[1]:
+    from test_annealing import logits_against_the_one_routine
+    out["cases"] = logits_against_the_one_routine()
+print(json.dumps(out))
+"""
+
+
+def test_logits_are_the_one_routine_under_a_second_blas_kernel():
+    # the Haswell kernels round other shapes otherwise in the swapped
+    # orientation; a BLAS that cannot switch to Haswell skips
+    want = "Haswell"
+    res = subprocess.run(
+        [sys.executable, "-c", _LOGITS_CHILD, want],
+        capture_output=True,
+        text=True,
+        env=child_env(OPENBLAS_CORETYPE=want),
+    )
+    assert res.returncode == 0, res.stderr
+    child = json.loads(res.stdout.strip().splitlines()[-1])
+    if child["core"] != want:
+        pytest.skip(f"OpenBLAS did not switch to {want} kernels; its core is {child['core']}")
+    assert all(same for same, _ in child["cases"])
+    assert any(swapped for _, swapped in child["cases"])
 
 
 _FREE_ENERGY_CHILD = """

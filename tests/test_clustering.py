@@ -86,6 +86,11 @@ def test_kmeans_validation():
         kmeans(ds, 4)
     with pytest.raises(ValueError, match="restarts"):
         kmeans(ds, 2, restarts=0)
+    # numbers.Integral, not bool: True is not one restart, 2.0 not two clusters
+    bad = ((2.0, 1, "k"), (True, 1, "k"), (2, True, "restarts"), (2, 2.0, "restarts"))
+    for k, restarts, name in bad:
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            kmeans(ds, k, restarts=restarts)
 
 
 @pytest.mark.parametrize("scale", [1e153])
@@ -217,6 +222,9 @@ def test_spectral_validation():
             spectral_cluster(basis, k)
     with pytest.raises(ValueError, match=r"k must lie in 1\.\.2"):
         spectral_cluster(spectral_basis(np.ones((4, 4)), 2), 3)
+    for k in (2.0, True):
+        with pytest.raises(ValueError, match="k must be an integer, got"):
+            spectral_cluster(basis, k)
 
 
 def test_spectral_recovers_rings():

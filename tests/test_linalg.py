@@ -105,11 +105,20 @@ def test_top_eigenvalue_on_large_gram_blocks(n):
         assert resid <= 1e-6 * np.abs(M).sum(axis=1).max()
 
 
-def test_input_validation():
+def test_input_validation(monkeypatch):
     with pytest.raises(ValueError, match="square"):
         largest_eigenvalue(np.ones((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         largest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    # an empty matrix has no largest eigenvalue; Jacobi would return none
+    monkeypatch.setattr(linalg, "_lanczos", no_solver)
+    monkeypatch.setattr(linalg, "jacobi_eigh", no_solver)
+    with pytest.raises(ValueError, match="matrix must not be empty"):
+        largest_eigenvalue(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("n", [5, 70])
