@@ -5,11 +5,14 @@ k-means takes unweighted points and uses greedy k-means++ seeding, Lloyd
 iterations to an assignment fixed point, deterministic tie-breaking (lowest
 cluster index, lowest restart index), and empty-cluster repair that
 reassigns the globally farthest point. Lloyd measures an N x k distance
-matrix of at most one 256 KiB block whole on every pass. Past that it makes
-no N x k array: Hamerly's triangle-inequality bounds, rounded outward and
-widened by the rounding of a distance, certify the rows whose argmin cannot
-move, and only the other rows are measured. Every output bit is that of
-measuring the whole matrix on every pass.
+matrix of at most one 256 KiB block whole on every pass, and there the
+restarts of a call are seeded and iterated in batches whose matrices fill
+at most one block together. Past that it makes no N x k array and runs one
+restart at a time: Hamerly's triangle-inequality bounds, rounded outward
+and widened by the rounding of a distance, certify the rows whose argmin
+cannot move, and only the other rows are measured. Every output bit is
+that of running the restarts one after another and measuring the whole
+matrix on every pass.
 """
 from __future__ import annotations
 
@@ -75,16 +78,31 @@ _TRANSPOSED_MAX_D = 7
 
 
 def _sample_d2(
-    d2: np.ndarray, total: float, trials: int, rng: np.random.Generator, cdf: np.ndarray
+    d2: np.ndarray, total: np.ndarray, trials: int, rngs: list, cdf: np.ndarray
 ) -> np.ndarray:
-    """rng.choice(len(d2), size=trials, p=d2 / total), step for step: the
-    same indices, and rng left in the same state, without choice's checks
-    on p, which cost more than the draw. cdf is a scratch array of len(d2).
+    """Row b of the (B, trials) result holds the candidates of row b of the
+    (B, N) block d2: rngs[b].choice(N, size=trials, p=d2[b] / total[b]),
+    step for step, the same indices and the generator left in the same
+    state, without choice's checks on p, which cost more than the draw. A
+    row whose total is 0 takes one rngs[b].integers(N) draw instead, in
+    each of its slots. cdf is a scratch array of d2's shape. The divisions
+    and the running sums go over the whole block in one pass each;
+    add.accumulate, which is cumsum without its wrapper, adds each row left
+    to right.
     """
-    np.divide(d2, total, out=cdf)
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(trials), side="right")
+    # a row of total 0 is 0 / 0, and never searched
+    with np.errstate(invalid="ignore"):
+        np.divide(d2, total[:, None], out=cdf)
+        np.add.accumulate(cdf, axis=1, out=cdf)
+        # a copy, as numpy buffers a whole division whose divisor overlaps out
+        np.divide(cdf, cdf[:, -1:].copy(), out=cdf)
+    cand = np.empty((len(d2), trials), dtype=np.intp)
+    for row, rng, t, out in zip(cdf, rngs, total.tolist(), cand):
+        if t > 0:
+            out[:] = row.searchsorted(rng.random(trials), side="right")
+        else:
+            out[:] = rng.integers(len(row))
+    return cand
 
 
 def _score_candidates(
@@ -118,38 +136,51 @@ def _score_candidates(
 
 
 def _kmeanspp_init(
-    X: np.ndarray, x2: np.ndarray, XT: Optional[np.ndarray], k: int, rng: np.random.Generator
+    X: np.ndarray, x2: np.ndarray, XT: Optional[np.ndarray], k: int, rngs: list
 ) -> np.ndarray:
-    """Greedy k-means++: sample candidates by the D^2 distribution, keep the
-    one that lowers the potential most; XT is as in _score_candidates."""
-    n = X.shape[0]
+    """Greedy k-means++, one run per generator of rngs: sample candidates
+    by the D^2 distribution, keep the one that lowers the potential most;
+    XT is as in _score_candidates. Returns the (B, k, d) stack of the B
+    runs' centers, each bitwise that of seeding its run alone.
+
+    Each run's first distances are one N x 1 product, since an N x B
+    product could round otherwise. Every later step works on the (B, N)
+    block of the runs' distances at once: one sampling pass, one scoring
+    call for all B trials candidates, and row sums, each row bitwise the
+    1-d sum. Each generator draws as it would alone."""
+    n, runs = X.shape[0], len(rngs)
     trials = 2 + int(math.log(k)) if k > 1 else 1
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = _sq_distances(X, x2, centers[:1])[:, 0]
-    cdf, scores = np.empty(n), np.empty((trials, n))
+    # the point index of each center
+    chosen = np.empty((runs, k), dtype=np.intp)
+    d2 = np.empty((runs, n))
+    for c, row, rng in zip(chosen, d2, rngs):
+        c[0] = rng.integers(n)
+        row[:] = _sq_distances(X, x2, X[c[:1]])[:, 0]
+    cdf, scores = np.empty((runs, n)), np.empty((runs * trials, n))
     diff = np.empty(X.shape if XT is None else scores.shape)
-    total = d2.sum()
+    # the row of each run's first candidate in the (B trials, N) scores
+    total, first = d2.sum(axis=1), np.arange(0, runs * trials, trials)
     for j in range(1, k):
-        if not math.isfinite(total):
-            raise ValueError(
-                f"k-means++: the squared distances of the points overflow (their sum "
-                f"is {total}); rescale the data"
-            )
-        if total <= 0:
-            cand = np.array([rng.integers(n)])
-        else:
-            cand = _sample_d2(d2, total, trials, rng, cdf)
+        for value in total.tolist():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"k-means++: the squared distances of the points overflow (their sum "
+                    f"is {value}); rescale the data"
+                )
+        cand = _sample_d2(d2, total, trials, rngs, cdf).reshape(-1)
         alt = _score_candidates(X, XT, cand, scores, diff)
-        np.minimum(d2, alt, out=alt)
+        by_run = alt.reshape(runs, trials, n)
+        np.minimum(d2[:, None], by_run, out=by_run)
         # the first candidate with the lowest potential wins; its potential
-        # is the pairwise sum of its row, bitwise the next d2.sum()
-        potentials = alt.sum(axis=1)
-        best = int(np.argmin(potentials))
-        centers[j] = X[cand[best]]
-        d2[:] = alt[best]
+        # is the pairwise sum of its row, bitwise the next d2.sum(); a row
+        # that drew one candidate in every slot picks it
+        potentials = np.add.reduce(alt, axis=1)
+        best = potentials.reshape(runs, trials).argmin(axis=1) + first
+        chosen[:, j] = cand[best]
+        for row, b in zip(d2, best.tolist()):
+            row[:] = alt[b]
         total = potentials[best]
-    return centers
+    return X[chosen]
 
 
 def _repair_empty(X: np.ndarray, assign: np.ndarray, means: np.ndarray, counts: np.ndarray):
@@ -179,17 +210,27 @@ def _cluster_means(
     numpy sums the column pairwise; a stable sort then groups the rows by
     cluster in their original order and each cluster is averaged on its own.
     Segment sums (np.add.reduceat) add in yet another order.
+
+    assign may also hold the labels of B runs one after another, those of
+    run b offset by b k, with counts and out over the B k clusters: each
+    run's points are then taken in their order again, and every mean keeps
+    its bits.
     """
+    n, runs = XT.shape[1], len(assign) // XT.shape[1]
     clusters = clusters[counts[clusters] > 0]
     if len(XT) > 1:
         sums = np.empty((len(XT), len(counts)))
+        tiled = np.empty((runs, n)) if runs > 1 else None
         for row, coord in zip(sums, XT):
+            if runs > 1:
+                tiled[:] = coord
+                coord = tiled.reshape(-1)
             row[:] = np.bincount(assign, weights=coord, minlength=len(counts))
         out[clusters] = sums[:, clusters].T / counts[clusters, None]
         return out
     # a stable sort of 16-bit keys is a radix sort
     keys = assign.astype(np.int16) if counts.size < 2**15 else assign
-    Xs = XT.T[np.argsort(keys, kind="stable")]
+    Xs = XT.T[np.argsort(keys, kind="stable") % n]
     starts = np.cumsum(counts) - counts
     for j, lo, size in zip(clusters.tolist(), starts[clusters].tolist(), counts[clusters].tolist()):
         out[j] = Xs[lo : lo + size].mean(axis=0)
@@ -375,76 +416,103 @@ class _Bounds:
 
 
 def _lloyd(
-    X: np.ndarray, x2: np.ndarray, XT: np.ndarray, centers: np.ndarray, d2: Optional[np.ndarray]
+    X: np.ndarray, x2: np.ndarray, XT: np.ndarray, centers: np.ndarray, D: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd iterations from the given centers to an assignment fixed point;
-    XT is the C-contiguous (d, N) copy of X. d2 is an N x k scratch array
-    when k = 1 or the matrix is one block of at most _BLOCK_BYTES, and None
-    otherwise.
+    """Lloyd iterations of B runs, from each center set of the (B, k, d)
+    stack centers to an assignment fixed point; XT is the C-contiguous
+    (d, N) copy of X. D is a scratch stack of at least B N x k matrices
+    when k = 1 or B matrices fit in one block of _BLOCK_BYTES, and None
+    otherwise, with B = 1.
 
-    Returns the assignment, the centers, each the mean of its members, and
-    each point's squared distance to its nearest center. A run settles when
-    the assignment after any empty-cluster repair equals the one before, and
-    returns the centers it was measured against. Every distance, argmin and
-    center is bitwise that of measuring the whole N x k matrix in one
-    _sq_distances call on every pass.
+    Returns, for each run, the assignment, the centers, each the mean of
+    its members, and each point's squared distance to its nearest center,
+    stacked in arrays of B rows. A run settles when the assignment after
+    any empty-cluster repair equals the one before, and returns the centers
+    it was measured against. Every distance, argmin and center is bitwise
+    that of measuring the run's whole N x k matrix in one _sq_distances
+    call on every pass.
 
-    With d2 every pass does just that, in place in d2. Without it the run
-    keeps _Bounds: an update gives a new mean only to the clusters that a
-    point entered or left, any other kept its members and so its mean, bit
-    for bit, and only the rows that the bounds cannot settle are measured.
+    With D every pass does just that for the runs not yet settled, in one
+    stacked call in place in D, whose slices get the gemm call of each run
+    alone; counts and member sums come from bincounts over labels offset
+    by run. A run leaves the batch when it settles or stops. Without D the
+    one run keeps _Bounds: an update gives a new mean only to the clusters
+    that a point entered or left, any other kept its members and so its
+    mean, bit for bit, and only the rows that the bounds cannot settle are
+    measured.
 
     A run stops early, with a RuntimeWarning, when an assignment equals the
     one two passes before: each assignment fixes the next, so the run would
     cycle until the cap. A run that stops early or at the cap returns its
     last assignment, its means and each point's distance to its nearest
-    latest center.
+    latest center. The warnings come in run order once every run has ended.
     """
-    n, k = len(X), len(centers)
-    centers = centers.copy()
-    every = np.arange(k)
-    if d2 is None:
-        bounds = _Bounds(X, x2, centers)
-        nearest = bounds.nearest.copy()
+    runs, k, d = centers.shape
+    n = len(X)
+    assigns, closest = np.empty((runs, n), dtype=np.intp), np.empty((runs, n))
+    means = np.empty_like(centers)
+    stops = [None] * runs
+    # the runs still iterating and their centers; labels offset by
+    # offsets[i] number run i's clusters after those of the runs before it
+    active, centers, offsets = np.arange(runs), centers.copy(), np.arange(0, runs * k, k)[:, None]
+
+    def leave(i, stop):
+        """Keep the result of run i of the batch as it now stands."""
+        r = active[i]
+        assigns[r], means[r], stops[r] = assign[i], centers[i], stop
+        closest[r] = bounds.distances(centers[0]) if D is None else D[i][np.arange(n), nearest[i]]
+
+    if D is None:
+        bounds = _Bounds(X, x2, centers[0])
+        nearest = bounds.nearest[None].copy()
     else:
-        nearest = np.argmin(_sq_distances(X, x2, centers, out=d2), axis=1)
-    stop = None
-    before = assign = np.full(n, -1)
+        nearest = _sq_distances(X, x2, centers, out=D[:runs]).argmin(axis=2)
+    before = assign = np.full((runs, n), -1)
     for _ in range(_LLOYD_CAP):
-        new_assign = nearest
-        counts = np.bincount(new_assign, minlength=k)
-        if np.any(counts == 0):
-            new_assign = nearest.copy()
-            means = _cluster_means(XT, new_assign, counts, every, np.zeros_like(centers))
-            _repair_empty(X, new_assign, means, counts)
-        moved = new_assign != assign
-        if not moved.any():
-            break
-        if np.array_equal(new_assign, before):
-            stop = "in a cycle of two assignments"
-            break
-        before, assign = assign, new_assign
-        if d2 is None:
+        new = nearest
+        counts = np.bincount((new + offsets).reshape(-1), minlength=offsets.size * k).reshape(-1, k)
+        if not counts.all():
+            new = nearest.copy()
+            for i in np.flatnonzero(~counts.all(axis=1)):
+                repaired = _cluster_means(XT, new[i], counts[i], np.arange(k), np.zeros((k, d)))
+                _repair_empty(X, new[i], repaired, counts[i])
+        moved = new != assign
+        settled = ~moved.any(axis=1)
+        cycled = (new == before).all(axis=1) & ~settled
+        ended = settled | cycled
+        if ended.any():
+            for i in np.flatnonzero(ended).tolist():
+                leave(i, "in a cycle of two assignments" if cycled[i] else None)
+            if ended.all():
+                break
+            keep = ~ended
+            active, centers, nearest, new, assign, counts, moved = (
+                a[keep] for a in (active, centers, nearest, new, assign, counts, moved)
+            )
+            offsets = offsets[: len(active)]
+        before, assign = assign, new
+        if D is None:
             # a moved point left one cluster and entered another; the label
             # -1 of the first pass is no cluster
-            touched = np.union1d(before[moved], assign[moved])
+            touched = np.union1d(before[0][moved[0]], assign[0][moved[0]])
             touched = touched[touched >= 0]
-            old = centers[touched]
-            _cluster_means(XT, assign, counts, touched, centers)
-            nearest = bounds.update(centers, touched, old)
+            old = centers[0][touched]
+            _cluster_means(XT, assign[0], counts[0], touched, centers[0])
+            nearest = bounds.update(centers[0], touched, old)[None]
         else:
-            _cluster_means(XT, assign, counts, every, centers)
-            nearest = np.argmin(_sq_distances(X, x2, centers, out=d2), axis=1)
+            labels, flat = (assign + offsets).reshape(-1), centers.reshape(-1, d)
+            _cluster_means(XT, labels, counts.reshape(-1), np.arange(len(flat)), flat)
+            nearest = _sq_distances(X, x2, centers, out=D[: len(active)]).argmin(axis=2)
     else:
-        stop = f"at the cap of {_LLOYD_CAP}"
-    if stop:
+        for i in range(len(active)):
+            leave(i, f"at the cap of {_LLOYD_CAP}")
+    for stop in filter(None, stops):
         warnings.warn(
             f"k={k}: Lloyd iterations stopped {stop} before the assignment settled",
             RuntimeWarning,
             stacklevel=2,
         )
-    closest = bounds.distances(centers) if d2 is None else d2[np.arange(n), nearest]
-    return assign, centers, closest
+    return assigns, means, closest
 
 
 def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> ClusteringSolution:
@@ -460,13 +528,18 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     distortion, so only the first runs.
 
     Where the N x k distance matrix fits in _BLOCK_BYTES, and at k = 1 (one
-    column), Lloyd measures it whole on every pass, into one scratch matrix
-    that every restart reuses. A larger matrix is never made: Lloyd keeps
-    Hamerly bounds and measures only the rows they cannot settle. k and
-    restarts must be integers.
+    column), Lloyd measures it whole on every pass. There the restarts run
+    in batches of as many as fit their matrices in one block, at least
+    one: each batch is seeded and iterated together, into one scratch stack
+    that every batch reuses, and every result is bitwise that of running
+    the restarts one after another. A larger matrix is never made: each
+    restart runs alone, and Lloyd keeps Hamerly bounds and measures only
+    the rows they cannot settle. k and restarts must be integers, and seed
+    an integer >= 0.
     """
     _require_integer("k", k)
     _require_integer("restarts", restarts)
+    _require_integer("seed", seed, 0)
     if k <= 0:
         raise ValueError("k must be positive")
     if k > data.n:
@@ -480,19 +553,26 @@ def kmeans(data: Dataset, k: int, restarts: int = 10, seed: int = 0) -> Clusteri
     XT = np.ascontiguousarray(X.T)
     scoring = XT if data.d <= _TRANSPOSED_MAX_D else None
     assignment, centroids = np.empty(data.n, dtype=np.intp), np.empty((k, data.d))
-    # at most one block, or N values: no N x k matrix is left resident
+    children = np.random.SeedSequence(seed).spawn(1 if k == 1 else restarts)
+    # restarts per batch: as many N x k matrices as fill one block, at least
+    # one, so 1 past one block, where Lloyd keeps bounds and no matrix. The
+    # stack D lives for this call only: no N x k matrix is left resident
     # between calls, in a glibc heap hole or elsewhere
-    d2 = np.empty((data.n, k)) if k == 1 or 8 * data.n * k <= _BLOCK_BYTES else None
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(1 if k == 1 else restarts)):
-        rng = np.random.default_rng(child)
-        centers = _kmeanspp_init(X, x2, scoring, k, rng)
-        assign, centers, closest = _lloyd(X, x2, XT, centers, d2)
-        distortion = float((data.weights * closest).sum())
-        if r == 0 or distortion < best:
-            best = distortion
-            assignment[:] = assign
-            centroids[:] = centers
+    batch = min(len(children), max(1, _BLOCK_BYTES // (8 * data.n * k)))
+    D = np.empty((batch, data.n, k)) if k == 1 or 8 * data.n * k <= _BLOCK_BYTES else None
+    for lo in range(0, len(children), batch):
+        rngs = [np.random.default_rng(child) for child in children[lo : lo + batch]]
+        assigns, means, closest = _lloyd(X, x2, XT, _kmeanspp_init(X, x2, scoring, k, rngs), D)
+        # each row's pairwise sum, as of the row alone
+        for r, distortion in enumerate((data.weights * closest).sum(axis=1).tolist(), start=lo):
+            if r == 0 or distortion < best:
+                best = distortion
+                assignment[:] = assigns[r - lo]
+                centroids[:] = means[r - lo]
+        # the next batch is seeded without this one's results
+        del assigns, means, closest
     return ClusteringSolution(k=k, assignment=assignment, centroids=centroids, distortion=best)
+
 
 def _components(linked: np.ndarray) -> list[np.ndarray]:
     """The connected components of the graph whose adjacency is the boolean
@@ -645,9 +725,11 @@ def spectral_cluster(
     k_max >= k. The first k columns, the eigenvectors of the symmetric
     normalized Laplacian with smallest eigenvalue, embed the points; the rows
     are normalized and kmeans clusters them. The returned centroids and
-    distortion refer to the embedding space. k must be an integer.
+    distortion refer to the embedding space. k must be an integer, and
+    seed an integer >= 0.
     """
     _require_integer("k", k)
+    _require_integer("seed", seed, 0)
     if not 1 <= k <= basis.shape[1]:
         raise ValueError(f"k must lie in 1..{basis.shape[1]}, the columns of the basis")
     U = basis[:, :k]

@@ -85,8 +85,12 @@ def _sq_distances(
     squared norms of the rows of X. The product X @ C.T, whose entries can
     differ from those of C @ X.T in the last place, goes into out, a
     C-contiguous (len(X), len(C)) array when given (matmul with out= makes
-    the gemm call it makes without), and is finished there in place."""
-    return _finish_sq_distances(np.matmul(X, C.T, out=out), x2, (C * C).sum(axis=1))
+    the gemm call it makes without), and is finished there in place.
+
+    C may be a stack of (k, d) center sets, and the result is then the
+    stack of their (N, k) matrices: one stacked matmul makes, slice by
+    slice, the gemm call that each set makes alone."""
+    return _finish_sq_distances(np.matmul(X, C.swapaxes(-1, -2), out=out), x2, (C * C).sum(axis=-1))
 
 
 def _finish_sq_distances(P: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -96,11 +100,13 @@ def _finish_sq_distances(P: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> np.nd
     temporary of P's size: both terms of each are exact products, so each
     is rounded once, as by a2[:, None] + b2, but in one BLAS call, where
     numpy's broadcast add runs a short loop per row, four to eight times
-    slower at the shapes of a Lloyd refresh."""
+    slower at the shapes of a Lloyd refresh. A stack of b2 rows finishes
+    the same stack of P matrices, each by its own such product. The factors
+    are filled from np.empty, as np.ones costs a Python call more."""
     P *= 2.0
-    xs, cs = np.ones((len(a2), 2)), np.ones((2, len(b2)))
-    xs[:, 0] = a2
-    cs[1] = b2
+    xs, cs = np.empty((len(a2), 2)), np.empty((*b2.shape[:-1], 2, b2.shape[-1]))
+    xs[:, 0], xs[:, 1] = a2, 1.0
+    cs[..., 0, :], cs[..., 1, :] = 1.0, b2
     np.subtract(xs @ cs, P, out=P)
     np.maximum(P, 0.0, out=P)
     return P

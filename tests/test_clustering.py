@@ -91,6 +91,12 @@ def test_kmeans_validation():
     for k, restarts, name in bad:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
             kmeans(ds, k, restarts=restarts)
+    # None would draw fresh entropy from the OS, True run as seed 1, and
+    # numpy refuses 1.5 and -1 with errors of its own
+    for seed in (None, True, 1.5, -1):
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got"):
+            kmeans(ds, 2, seed=seed)
+    assert kmeans(ds, 2, seed=np.int64(3)).distortion == kmeans(ds, 2, seed=3).distortion
 
 
 @pytest.mark.parametrize("scale", [1e153])
@@ -225,6 +231,9 @@ def test_spectral_validation():
     for k in (2.0, True):
         with pytest.raises(ValueError, match="k must be an integer, got"):
             spectral_cluster(basis, k)
+    for seed in (None, True, 1.5, -1):
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got"):
+            spectral_cluster(basis, 2, seed=seed)
 
 
 def test_spectral_recovers_rings():
@@ -628,9 +637,80 @@ def test_d2_sampler_is_generator_choice():
         n, total, trials = len(d2), d2.sum(), int(rng.integers(1, 8))
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = want_rng.choice(n, size=trials, p=d2 / total)
-        got = clustering._sample_d2(d2, total, trials, got_rng, np.empty(n))
+        # as a block of one row
+        block, totals = d2[None], np.array([total])
+        got = clustering._sample_d2(block, totals, trials, [got_rng], np.empty((1, n)))[0]
         assert got.dtype == want.dtype and np.array_equal(got, want), f"case {case}"
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"case {case}"
+
+
+def test_d2_sampler_draws_each_row_of_a_block_as_its_generator_alone():
+    # a (B, N) block of restarts, each row with its own generator: row b
+    # gives that generator's choice and leaves it as choice does. A row of
+    # total 0 takes one integers(N) draw, in each of its trials slots
+    rng = np.random.default_rng(12)
+    for case in range(400):
+        runs, n, trials = int(rng.integers(1, 9)), int(rng.integers(2, 60)), int(rng.integers(1, 8))
+        d2 = rng.exponential(size=(runs, n)) * 10.0 ** rng.integers(-8, 9, size=(runs, 1))
+        d2[rng.random((runs, n)) < 0.3] = 0.0
+        d2[np.arange(runs), rng.integers(n, size=runs)] = rng.exponential(size=runs)
+        if case % 2:
+            d2[rng.integers(runs)] = 0.0
+        total = d2.sum(axis=1)
+        seeds = rng.integers(2**32, size=runs).tolist()
+        gens = [np.random.default_rng(s) for s in seeds]
+        got = clustering._sample_d2(d2, total, trials, gens, np.empty((runs, n)))
+        assert got.shape == (runs, trials)
+        for b, (seed, gen) in enumerate(zip(seeds, gens)):
+            want_rng = np.random.default_rng(seed)
+            if total[b] > 0:
+                want = want_rng.choice(n, size=trials, p=d2[b] / total[b])
+            else:
+                want = np.full(trials, want_rng.integers(n))
+            assert got.dtype == want.dtype and np.array_equal(got[b], want), f"case {case}, row {b}"
+            assert gen.bit_generator.state == want_rng.bit_generator.state, f"case {case}, row {b}"
+        assert case % 2 == 0 or (total == 0).any()
+
+
+@pytest.mark.parametrize(
+    "n, d, seed", [(569, 2, 0), (101, 7, 20), (569, 8, 0), (178, 13, 0), (569, 30, 0)]
+)
+def test_seeding_a_batch_is_seeding_each_run_alone(n, d, seed):
+    # each run's first distances are its own N x 1 product. One N x 7
+    # product of the first centers rounds 228 of the 707 entries otherwise
+    # at N = 101, d = 7 and seed 20 (OpenBLAS SkylakeX kernels), and there
+    # moves a center of one k = 40 run. Every seventh row is a copy of the
+    # first
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) + rng.integers(0, 4, size=(n, 1)) * 3.0
+    X[::7] = X[0]
+    ds = Dataset(X)
+    XT = np.ascontiguousarray(X.T) if d <= clustering._TRANSPOSED_MAX_D else None
+    for k in (2, 5, 40):
+        children = np.random.SeedSequence(seed + k).spawn(7)
+        gens = [np.random.default_rng(child) for child in children]
+        got = clustering._kmeanspp_init(X, ds.sq_norms, XT, k, gens)
+        assert got.shape == (7, k, d)
+        for child, gen, centers in zip(children, gens, got):
+            want_rng = np.random.default_rng(child)
+            assert centers.tobytes() == oracle_kmeanspp_init(X, k, want_rng).tobytes(), f"k={k}"
+            assert gen.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_seeding_a_repeated_candidate_in_every_slot_is_seeding_it_once():
+    # where every point is a center already the D^2 total is 0 and a row
+    # draws one candidate, which fills its trials slots: every slot scores
+    # alike, the first wins, and the centers and the generator come out as
+    # the reference, which scores that candidate once
+    X = np.repeat(np.random.default_rng(5).normal(size=(3, 2)), 4, axis=0)
+    ds = Dataset(X)
+    children = np.random.SeedSequence(8).spawn(3)
+    gens = [np.random.default_rng(child) for child in children]
+    got = clustering._kmeanspp_init(X, ds.sq_norms, np.ascontiguousarray(X.T), 5, gens)
+    for child, gen, centers in zip(children, gens, got):
+        want_rng = np.random.default_rng(child)
+        assert centers.tobytes() == oracle_kmeanspp_init(X, 5, want_rng).tobytes()
+        assert gen.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_candidate_scores_are_bitwise_the_row_sums():
@@ -681,6 +761,30 @@ def test_cluster_means_are_bitwise_the_member_means(d, k):
                 assert np.isnan(got[j]).all(), f"cluster {j}"
 
 
+@pytest.mark.parametrize("d", [1, 2, 13])
+def test_cluster_means_of_a_batch_are_each_runs_member_means(d):
+    # the labels of three runs one after another, those of run b offset by
+    # b k, as Lloyd hands a batch over; run 1 leaves cluster 3 empty
+    rng = np.random.default_rng(d)
+    n, k, runs = 300, 7, 3
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, d))
+    assign = rng.integers(0, k, size=(runs, n))
+    assign[1][assign[1] == 3] = 0
+    counts = np.stack([np.bincount(labels, minlength=k) for labels in assign])
+    labels = (assign + np.arange(0, runs * k, k)[:, None]).reshape(-1)
+    out = np.full((runs * k, d), np.nan)
+    XT = np.ascontiguousarray(X.T)
+    got = clustering._cluster_means(XT, labels, counts.reshape(-1), np.arange(runs * k), out)
+    assert got is out
+    for b in range(runs):
+        for j in range(k):
+            if counts[b, j]:
+                want = X[assign[b] == j].mean(axis=0)
+                assert got[b * k + j].tobytes() == want.tobytes(), f"run {b}, cluster {j}"
+            else:
+                assert np.isnan(got[b * k + j]).all(), f"run {b}, cluster {j}"
+
+
 _KMEANS_CHILD = """
 import numpy as np
 from clusterpersist import Dataset, kmeans
@@ -725,17 +829,21 @@ def grid_blobs(side, sd, n_per, seed):
 
 
 def lloyd_scratch(n, k):
-    """The scratch matrix kmeans hands to _lloyd: N x k for k = 1 or one
-    block of k columns, None (Hamerly bounds) past that."""
-    return np.empty((n, k)) if k == 1 or 8 * n * k <= clustering._BLOCK_BYTES else None
+    """The scratch stack kmeans hands to _lloyd for one run: one N x k
+    matrix for k = 1 or one block of k columns, None (Hamerly bounds) past
+    that."""
+    return np.empty((1, n, k)) if k == 1 or 8 * n * k <= clustering._BLOCK_BYTES else None
 
 
 def lloyd_matches_the_reference(ds, centers, cap=300):
-    """Whether _lloyd, handed the scratch matrix kmeans would hand it, gives
-    the reference's assignment, means and nearest distances bit for bit."""
+    """Whether _lloyd, handed the center set as a stack of one run and the
+    scratch kmeans would hand it, gives the reference's assignment, means
+    and nearest distances bit for bit."""
     X, k = ds.points, len(centers)
     XT = np.ascontiguousarray(X.T)
-    assign, means, closest = clustering._lloyd(X, ds.sq_norms, XT, centers, lloyd_scratch(ds.n, k))
+    runs = clustering._lloyd(X, ds.sq_norms, XT, centers[None], lloyd_scratch(ds.n, k))
+    assert [len(a) for a in runs] == [1, 1, 1]
+    assign, means, closest = (a[0] for a in runs)
     want_assign, want_means = oracle_lloyd(X, centers, k, cap)
     return (
         np.array_equal(assign, want_assign)
@@ -915,6 +1023,143 @@ def test_lloyd_bounds_are_the_reference_under_a_second_blas_kernel():
     if child["core"] != want:
         pytest.skip(f"OpenBLAS did not switch to {want} kernels; its core is {child['core']}")
     assert child["matches"] == [True] * 4
+
+
+def copies_case(seed, n, exact):
+    """Two points of the plane, repeated n // 2 and n - n // 2 times in a
+    random order; the first has integer coordinates when exact, so that
+    the mean of its copies is the point. At k = 3 the third k-means++
+    center repeats one of the two, and its cluster starts empty."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(2, 2))
+    if exact:
+        points[0] = rng.integers(-4, 5, size=2)
+    X = np.repeat(points, [n // 2, n - n // 2], axis=0)
+    return Dataset(X[rng.permutation(n)])
+
+
+def spy_lloyd(monkeypatch):
+    """Record the result of each _lloyd call, one per batch of restarts."""
+    batches = []
+    real = clustering._lloyd
+
+    def spy(*args):
+        batches.append(real(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(clustering, "_lloyd", spy)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "case, seed, cap, sizes",
+    [
+        # every restart repairs an empty cluster, then cycles between two
+        # assignments and stops on the third pass
+        ("cycle", 7, 4, [3, 3, 1]),
+        # every restart repairs an empty cluster and then settles
+        ("repair", 0, 300, [4, 3]),
+        # overlapping blobs: some restarts settle within the cap, the
+        # others hit it and stay in the batch without them
+        ("cap", 4, 12, [3, 3, 1]),
+    ],
+)
+def test_kmeans_restarts_are_the_reference_across_batches(case, seed, cap, sizes, monkeypatch):
+    # 7 restarts at k = 3 go in batches of as many N x 3 matrices as one
+    # block holds: 3 at N = 3001 and 2804, 4 at N = 2667. Every restart's
+    # assignment, means and distances, and the best of them, are the
+    # reference's run alone, at the same cap
+    if case == "cap":
+        ds = blobs([(0, 0), (2, 0), (0, 2), (2, 2)], 1.0, 701, seed=seed)
+    else:
+        ds = copies_case(seed, 3001 if case == "cycle" else 2667, exact=case == "repair")
+    X, k = ds.points, 3
+    assert clustering._BLOCK_BYTES // (8 * ds.n * k) == sizes[0]
+    monkeypatch.setattr(clustering, "_LLOYD_CAP", cap)
+    batches, repairs = spy_lloyd(monkeypatch), count_repairs(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = kmeans(ds, k, restarts=7, seed=seed)
+    assert [len(assign) for assign, _, _ in batches] == sizes
+    runs = zip(*(np.concatenate(part) for part in zip(*batches)))
+    for child, (assign, means, closest) in zip(np.random.SeedSequence(seed).spawn(7), runs):
+        centers = oracle_kmeanspp_init(X, k, np.random.default_rng(child))
+        want_assign, want_means = oracle_lloyd(X, centers, k, cap)
+        assert np.array_equal(assign, want_assign)
+        assert means.tobytes() == want_means.tobytes()
+        assert closest.tobytes() == oracle_sq_distances(X, want_means).min(axis=1).tobytes()
+    assert_matches_oracle(sol, oracle_kmeans(ds, k, restarts=7, seed=seed, cap=cap))
+    assert all(w.category is RuntimeWarning for w in caught)
+    stops = [str(w.message).removesuffix(" before the assignment settled") for w in caught]
+    if case == "cycle":
+        assert stops == ["k=3: Lloyd iterations stopped in a cycle of two assignments"] * 7
+        assert len(repairs) >= 7
+    elif case == "repair":
+        assert stops == [] and len(repairs) >= 7
+    else:
+        assert 0 < len(stops) < 7
+        assert set(stops) == {f"k=3: Lloyd iterations stopped at the cap of {cap}"}
+
+
+_BATCH_CHILD = """
+import json, sys, warnings
+import numpy as np
+from helpers import openblas_corename
+out = {"core": openblas_corename()}
+if out["core"] == sys.argv[1]:
+    from clusterpersist import Dataset, clustering, kmeans
+    from test_clustering import oracle_kmeans
+    warnings.simplefilter("error", RuntimeWarning)
+    out["matches"], out["batches"] = [], []
+    for n, k in ((2001, 5), (1001, 9), (801, 10)):
+        rng = np.random.default_rng(n + k)
+        ds = Dataset(rng.normal(size=(n, 13)) + rng.integers(0, 6, size=(n, 1)) * 2.0)
+        want = oracle_kmeans(ds, k, restarts=7, seed=k)
+        sol = kmeans(ds, k, restarts=7, seed=k)
+        out["batches"].append(clustering._BLOCK_BYTES // (8 * n * k))
+        out["matches"].append(
+            sol.assignment.tolist() == want[1].tolist()
+            and sol.centroids.tobytes() == want[2].tobytes()
+            and sol.distortion == want[0]
+        )
+print(json.dumps(out))
+"""
+
+
+def test_kmeans_batches_are_the_reference_under_a_second_blas_kernel():
+    # a batch's stacked product must give each restart the bits of its own
+    # N x k product. The Haswell kernels round the last row of an odd
+    # number of rows otherwise from eight coordinates on, so N is odd and
+    # d = 13. A BLAS that cannot switch to Haswell skips
+    want = "Haswell"
+    res = subprocess.run(
+        [sys.executable, "-c", _BATCH_CHILD, want],
+        capture_output=True,
+        text=True,
+        env=child_env(OPENBLAS_CORETYPE=want),
+    )
+    assert res.returncode == 0, res.stderr
+    child = json.loads(res.stdout.strip().splitlines()[-1])
+    if child["core"] != want:
+        pytest.skip(f"OpenBLAS did not switch to {want} kernels; its core is {child['core']}")
+    # the 7 restarts in batches of 3, 3 and 4 restarts
+    assert child["batches"] == [3, 3, 4]
+    assert child["matches"] == [True] * 3
+
+
+def test_kmeans_restart_count_does_not_size_the_scratch():
+    # a matrix-path shape whose batch holds 8 restarts. Past one batch only
+    # the list of child seeds grows with the restart count; a batch's
+    # distance stack, its finishing temporary and the seeding scores of its
+    # candidates are each at most about one block, however many run
+    ds, k = blobs([(0, 0), (3, 0), (0, 3)], 1.0, 333, seed=1), 4
+    batch = clustering._BLOCK_BYTES // (8 * ds.n * k)
+    assert batch == 8
+    peaks = {r: allocation_peak(kmeans, ds, k, r, 0)[1] for r in (1, batch, 200)}
+    assert peaks[200] - peaks[batch] < clustering._BLOCK_BYTES / 2
+    assert peaks[200] - peaks[1] < 4 * clustering._BLOCK_BYTES
+    # a batch of every restart would make a stack of 24 blocks
+    assert 200 * ds.n * k * 8 > 24 * clustering._BLOCK_BYTES
 
 
 def test_kmeans_at_k_1_runs_one_restart(monkeypatch):
