@@ -38,52 +38,39 @@ from .dataset import (
 from .linalg import _kernel_denominator, largest_eigenvalue
 from .persistence import persistence_profile
 
-_GENERATORS = ("two-disks", "rings", "spirals", "gaussians4", "superclusters")
 
-# per-generator defaults, applied when the corresponding flag is omitted
-_GEN_DEFAULTS = {
-    "two-disks": {"R": 1.0, "gap": 4.0, "n": 500},
-    "rings": {"radii": "1,2,3", "n": 300, "noise": 0.01},
-    "spirals": {"arms": 3, "n": 300, "noise": 0.02},
-    "gaussians4": {"gap": 10.0, "sd": 0.5, "n": 250},
-    "superclusters": {"super_spacing": 20.0, "sub_spacing": 2.0, "sd": 0.25, "n": 150},
+def _rings(radii: str, n: int, noise: float, seed: int) -> Dataset:
+    return gen_rings([float(r) for r in radii.split(",")], n, noise, seed)
+
+
+def _gaussians4(gap: float, sd: float, n: int, seed: int) -> Dataset:
+    h = gap / 2.0
+    means = [(-h, -h), (-h, h), (h, -h), (h, h)]
+    return gen_gaussian_mixture(means, [(sd * sd) * np.eye(2)] * 4, [n] * 4, seed)
+
+
+def _superclusters(super_spacing: float, sub_spacing: float, sd: float, n: int,
+                   seed: int) -> Dataset:
+    return gen_supercluster_grid(super_spacing, sub_spacing, (sd * sd) * np.eye(2), n, seed)
+
+
+# each shape's builder and its parameters in call order, each with the default
+# applied when its flag is omitted; the seed is passed last
+_GENERATORS = {
+    "two-disks": (gen_two_disks, {"R": 1.0, "gap": 4.0, "n": 500}),
+    "rings": (_rings, {"radii": "1,2,3", "n": 300, "noise": 0.01}),
+    "spirals": (gen_spirals, {"arms": 3, "n": 300, "noise": 0.02}),
+    "gaussians4": (_gaussians4, {"gap": 10.0, "sd": 0.5, "n": 250}),
+    "superclusters": (_superclusters,
+                      {"super_spacing": 20.0, "sub_spacing": 2.0, "sd": 0.25, "n": 150}),
 }
 
 
-def _arg(args, name: str, gen: str):
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    return _GEN_DEFAULTS[gen][name]
-
-
 def _build_generated(args) -> Dataset:
-    gen = args.gen
-    seed = args.seed
-    n = _arg(args, "n", gen)
-    if gen == "two-disks":
-        return gen_two_disks(_arg(args, "R", gen), _arg(args, "gap", gen), n, seed)
-    if gen == "rings":
-        radii = [float(r) for r in str(_arg(args, "radii", gen)).split(",")]
-        return gen_rings(radii, n, _arg(args, "noise", gen), seed)
-    if gen == "spirals":
-        return gen_spirals(_arg(args, "arms", gen), n, _arg(args, "noise", gen), seed)
-    if gen == "gaussians4":
-        h = _arg(args, "gap", gen) / 2.0
-        sd = _arg(args, "sd", gen)
-        cov = (sd * sd) * np.eye(2)
-        means = [(-h, -h), (-h, h), (h, -h), (h, h)]
-        return gen_gaussian_mixture(means, [cov] * 4, [n] * 4, seed)
-    if gen == "superclusters":
-        sd = _arg(args, "sd", gen)
-        return gen_supercluster_grid(
-            _arg(args, "super_spacing", gen),
-            _arg(args, "sub_spacing", gen),
-            (sd * sd) * np.eye(2),
-            n,
-            seed,
-        )
-    raise ValueError(f"unknown generator {gen!r}")
+    build, defaults = _GENERATORS[args.gen]
+    params = [default if getattr(args, name) is None else getattr(args, name)
+              for name, default in defaults.items()]
+    return build(*params, args.seed)
 
 
 def _effective_normalize(args) -> bool:
@@ -155,7 +142,7 @@ def _add_gen_params(p: argparse.ArgumentParser) -> None:
                    help="blob circumradius within a supercluster (superclusters)")
 
 
-def _add_profile_args(p: argparse.ArgumentParser) -> None:
+def _add_profile_args(p: argparse.ArgumentParser, format_help: str, output_help: str) -> None:
     p.add_argument("--k-max", type=int, required=True, help="largest cluster count to probe")
     p.add_argument("--k-min", type=int, default=1,
                    help="restrict the sweep to k >= k-min (default 1)")
@@ -165,9 +152,13 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
                    help="Gaussian kernel width (required with --mode kernel)")
     p.add_argument("--restarts", type=int, default=8,
                    help="clustering restarts per k (default 8)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help=format_help)
+    p.add_argument("--output", default=None, help=output_help)
 
 
-def _validate_profile_args(parser: argparse.ArgumentParser, args) -> None:
+def _profile(parser: argparse.ArgumentParser, args, to_stdout: bool):
+    """Check the sweep flags, run the sweep and write its profile in --format
+    to --output; without --output, to stdout when to_stdout, else nowhere."""
     if args.k_max < 2:
         parser.error("--k-max must be at least 2")
     if not 1 <= args.k_min <= args.k_max - 1:
@@ -181,12 +172,8 @@ def _validate_profile_args(parser: argparse.ArgumentParser, args) -> None:
             _kernel_denominator(args.sigma)
         except ValueError as e:
             parser.error(f"--{e}")
-
-
-def _profile_from_args(args):
-    data = _load_dataset(args)
-    return persistence_profile(
-        data,
+    prof = persistence_profile(
+        _load_dataset(args),
         k_max=args.k_max,
         mode=args.mode,
         restarts=args.restarts,
@@ -194,43 +181,34 @@ def _profile_from_args(args):
         sigma=args.sigma,
         k_min=args.k_min,
     )
-
-
-def _profile_document(args, prof) -> str:
-    cfg = {
-        "source": args.input if args.input is not None else args.gen,
-        "mode": args.mode,
-        "k_min": args.k_min,
-        "k_max": args.k_max,
-        "sigma": args.sigma,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "normalize": _effective_normalize(args),
-    }
-    doc = {"version": __version__, "config": cfg, "profile": prof.to_json_dict()}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _write_profile(args, prof) -> None:
-    if args.format == "csv":
-        _write_text(prof.to_csv(), args.output)
+    if args.output is None and not to_stdout:
+        return prof
+    if args.format == "json":
+        cfg = {
+            "source": args.input if args.input is not None else args.gen,
+            "mode": args.mode,
+            "k_min": args.k_min,
+            "k_max": args.k_max,
+            "sigma": args.sigma,
+            "restarts": args.restarts,
+            "seed": args.seed,
+            "normalize": _effective_normalize(args),
+        }
+        doc = {"version": __version__, "config": cfg, "profile": prof.to_json_dict()}
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        _write_text(_profile_document(args, prof), args.output)
+        text = prof.to_csv()
+    _write_text(text, args.output)
+    return prof
 
 
 def _cmd_estimate(parser, args) -> int:
-    _validate_profile_args(parser, args)
-    prof = _profile_from_args(args)
-    if args.output is not None:
-        _write_profile(args, prof)
-    print(f"k_t = {prof.k_t}")
+    print(f"k_t = {_profile(parser, args, to_stdout=False).k_t}")
     return 0
 
 
 def _cmd_profile(parser, args) -> int:
-    _validate_profile_args(parser, args)
-    prof = _profile_from_args(args)
-    _write_profile(args, prof)
+    _profile(parser, args, to_stdout=True)
     return 0
 
 
@@ -323,19 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = subs.add_parser("estimate", help="print the estimated cluster count")
     _add_source_args(p_est)
-    _add_profile_args(p_est)
-    p_est.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="profile format when --output is given (default csv)")
-    p_est.add_argument("--output", default=None,
-                       help="also write the full profile to this path")
+    _add_profile_args(p_est, "profile format when --output is given (default csv)",
+                      "also write the full profile to this path")
     p_est.set_defaults(func=_cmd_estimate, parser=p_est)
 
     p_prof = subs.add_parser("profile", help="write the persistence profile")
     _add_source_args(p_prof)
-    _add_profile_args(p_prof)
-    p_prof.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    p_prof.add_argument("--output", default=None, help="output path (default stdout)")
+    _add_profile_args(p_prof, "output format (default csv)", "output path (default stdout)")
     p_prof.set_defaults(func=_cmd_profile, parser=p_prof)
 
     p_gen = subs.add_parser("gen", help="write a synthetic dataset as CSV")

@@ -17,7 +17,16 @@ except ModuleNotFoundError:  # Python 3.10
 import numpy as np
 import pytest
 
-from clusterpersist import anneal, annealing, cli
+from clusterpersist import (
+    anneal,
+    annealing,
+    cli,
+    gen_gaussian_mixture,
+    gen_rings,
+    gen_spirals,
+    gen_supercluster_grid,
+    gen_two_disks,
+)
 from clusterpersist.cli import main
 from helpers import DATA_DIR, child_env
 
@@ -149,6 +158,31 @@ def test_gen_rings_deterministic(capsys):
         assert label in ("0", "1", "2")
 
 
+def dataset_csv(data):
+    rows = [",".join(repr(float(x)) for x in p) + f",{int(y)}\n"
+            for p, y in zip(data.points, data.labels)]
+    return "".join(rows)
+
+
+# each shape's dataset at the CLI's default parameters and seed
+GEN_DEFAULTS = {
+    "two-disks": lambda: gen_two_disks(1.0, 4.0, 500, 0),
+    "rings": lambda: gen_rings([1.0, 2.0, 3.0], 300, 0.01, 0),
+    "spirals": lambda: gen_spirals(3, 300, 0.02, 0),
+    "gaussians4": lambda: gen_gaussian_mixture(
+        [(-5.0, -5.0), (-5.0, 5.0), (5.0, -5.0), (5.0, 5.0)], [0.25 * np.eye(2)] * 4, [250] * 4, 0
+    ),
+    "superclusters": lambda: gen_supercluster_grid(20.0, 2.0, 0.0625 * np.eye(2), 150, 0),
+}
+
+
+@pytest.mark.parametrize("shape", list(GEN_DEFAULTS))
+def test_gen_without_generator_flags_uses_the_default_parameters(shape, capsys):
+    code, out, err = run_cli(["gen", shape], capsys)
+    assert (code, err) == (0, "")
+    assert out == dataset_csv(GEN_DEFAULTS[shape]())
+
+
 def test_gen_respects_output_path(capsys, tmp_path):
     p = tmp_path / "disks.csv"
     code, out, _ = run_cli(
@@ -214,14 +248,17 @@ def test_profile_json_document(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_profile_output_file_holds_the_stdout_bytes(fmt, capsys, tmp_path):
+    # profile --output and estimate --output write what profile prints
     out_path = tmp_path / f"profile.{fmt}"
-    argv = ["profile", "--gen", "two-disks", "--n", "300", "--k-max", "4", "--format", fmt]
-    code, out, _ = run_cli(argv, capsys)
+    args = ["--gen", "two-disks", "--n", "300", "--k-max", "4", "--format", fmt]
+    code, out, _ = run_cli(["profile"] + args, capsys)
     assert code == 0
-    code, quiet, _ = run_cli(argv + ["--output", str(out_path)], capsys)
-    assert code == 0
-    assert quiet == ""
-    assert out_path.read_bytes() == out.encode()
+    for command, stdout in (("profile", ""), ("estimate", "k_t = 2\n")):
+        out_path.unlink(missing_ok=True)
+        code, printed, _ = run_cli([command] + args + ["--output", str(out_path)], capsys)
+        assert code == 0
+        assert printed == stdout
+        assert out_path.read_bytes() == out.encode()
 
 
 def test_profile_json_normalize_defaults_on_for_files(capsys):
@@ -350,6 +387,11 @@ def test_da_trace_rejects_a_scale_whose_offset_overflows(capsys):
     assert code == 1
     assert "split_perturbation_scale" in err
     assert "raise --beta-max" not in out
+
+
+def test_da_trace_on_a_single_point_is_a_runtime_error(capsys):
+    code, out, err = run_cli(["da-trace", "--gen", "spirals", "--arms", "1", "--n", "1"], capsys)
+    assert (code, out, err) == (1, "", "error: degenerate dataset: zero covariance\n")
 
 
 def test_da_trace_without_split_reports_failure(capsys):

@@ -212,6 +212,10 @@ def test_mixture_validation():
         gen_gaussian_mixture([(0, 0)], [np.eye(2), np.eye(2)], [5], seed=0)
     with pytest.raises(ValueError, match="symmetric positive definite"):
         gen_gaussian_mixture([(0, 0)], [np.array([[1.0, 2.0], [2.0, 1.0]])], [5], seed=0)
+    with pytest.raises(ValueError, match="covariance shape does not match mean dimension"):
+        gen_gaussian_mixture([(0, 0)], [np.eye(3)], [5], seed=0)
+    with pytest.raises(ValueError, match="symmetric positive definite"):
+        gen_gaussian_mixture([(0, 0)], [np.array([[1.0, 0.5], [0.0, 1.0]])], [5], seed=0)
 
 
 def test_two_disks_minimal_and_containment():

@@ -573,6 +573,24 @@ def test_kernel_memory_guard_refuses_before_allocating(monkeypatch):
         persistence_profile(ds, k_max=3, mode="kernel", sigma=1.0)
 
 
+@pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+def test_kernel_memory_guard_lets_the_sweep_through_where_memory_is_unknown(error, monkeypatch):
+    # os.sysconf is missing (AttributeError), does not know the name
+    # (ValueError) or fails (OSError): the size is unknown, not zero
+    def unknown(name):
+        raise error(name)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built")
+
+    monkeypatch.setattr(persistence.os, "sysconf", unknown)
+    assert persistence._physical_memory() is None
+    monkeypatch.setattr(persistence, "gaussian_kernel", no_kernel)
+    ds = blobs([(0, 0), (5, 5)], 0.4, 15, seed=1)
+    with pytest.raises(AssertionError, match="kernel built"):
+        persistence_profile(ds, k_max=3, mode="kernel", sigma=1.0)
+
+
 def test_bad_sweep_arguments_fail_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("sweep started despite bad arguments")
