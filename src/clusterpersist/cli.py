@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -39,10 +40,6 @@ from .linalg import _kernel_denominator, largest_eigenvalue
 from .persistence import persistence_profile
 
 
-def _rings(radii: str, n: int, noise: float, seed: int) -> Dataset:
-    return gen_rings([float(r) for r in radii.split(",")], n, noise, seed)
-
-
 def _gaussians4(gap: float, sd: float, n: int, seed: int) -> Dataset:
     h = gap / 2.0
     means = [(-h, -h), (-h, h), (h, -h), (h, h)]
@@ -58,7 +55,7 @@ def _superclusters(super_spacing: float, sub_spacing: float, sd: float, n: int,
 # applied when its flag is omitted; the seed is passed last
 _GENERATORS = {
     "two-disks": (gen_two_disks, {"R": 1.0, "gap": 4.0, "n": 500}),
-    "rings": (_rings, {"radii": "1,2,3", "n": 300, "noise": 0.01}),
+    "rings": (gen_rings, {"radii": "1,2,3", "n": 300, "noise": 0.01}),
     "spirals": (gen_spirals, {"arms": 3, "n": 300, "noise": 0.02}),
     "gaussians4": (_gaussians4, {"gap": 10.0, "sd": 0.5, "n": 250}),
     "superclusters": (_superclusters,
@@ -66,11 +63,42 @@ _GENERATORS = {
 }
 
 
+# what each generator parameter must be, checked in this order; a NaN fails
+# every rule. super_spacing's rule reads sub_spacing, checked before it.
+_GEN_RULES = {
+    "n": ("must be at least 1", lambda x, p: x >= 1),
+    "arms": ("must be at least 1", lambda x, p: x >= 1),
+    "radii": ("must be positive, finite and strictly increasing",
+              lambda x, p: 0 < x[0] and x[-1] < math.inf and all(map(float.__lt__, x, x[1:]))),
+    "R": ("must be positive and finite", lambda x, p: 0 < x < math.inf),
+    "gap": ("must be positive and finite", lambda x, p: 0 < x < math.inf),
+    "noise": ("must be non-negative and finite", lambda x, p: 0 <= x < math.inf),
+    "sd": ("must be positive with sd^2 finite and nonzero",
+           lambda x, p: x > 0 and 0 < x * x < math.inf),
+    "sub_spacing": ("must be positive and finite", lambda x, p: 0 < x < math.inf),
+    "super_spacing": ("must be finite and exceed --sub-spacing",
+                      lambda x, p: p["sub_spacing"] < x < math.inf),
+}
+
+
 def _build_generated(args) -> Dataset:
+    """args.gen's dataset. Each parameter is its flag's value, or the default
+    when the flag is omitted, and a value that breaks its rule in _GEN_RULES
+    is a usage error that names the flag, before anything is built."""
     build, defaults = _GENERATORS[args.gen]
-    params = [default if getattr(args, name) is None else getattr(args, name)
-              for name, default in defaults.items()]
-    return build(*params, args.seed)
+    given = {name: default if getattr(args, name) is None else getattr(args, name)
+             for name, default in defaults.items()}
+    params = dict(given)
+    if "radii" in params:
+        try:
+            params["radii"] = [float(r) for r in given["radii"].split(",")]
+        except ValueError:
+            args.parser.error(f"--radii must be comma-separated numbers, got {given['radii']!r}")
+    for name, (rule, holds) in _GEN_RULES.items():
+        if name in params and not holds(params[name], params):
+            flag = "--" + name.replace("_", "-")
+            args.parser.error(f"{flag} {rule}, got {given[name]!r}")
+    return build(*params.values(), args.seed)
 
 
 def _effective_normalize(args) -> bool:
@@ -89,6 +117,19 @@ def _load_dataset(args) -> Dataset:
     if _effective_normalize(args):
         data = normalize_zscore(data)
     return data
+
+
+def _check_output(path: Optional[str]) -> None:
+    """Raise, before the work starts, the OSError that opening path for the
+    output would raise. An existing file keeps its bytes, and a file the
+    check creates is removed."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _write_text(text: str, path: Optional[str]) -> None:
@@ -172,8 +213,10 @@ def _profile(parser: argparse.ArgumentParser, args, to_stdout: bool):
             _kernel_denominator(args.sigma)
         except ValueError as e:
             parser.error(f"--{e}")
+    data = _load_dataset(args)
+    _check_output(args.output)
     prof = persistence_profile(
-        _load_dataset(args),
+        data,
         k_max=args.k_max,
         mode=args.mode,
         restarts=args.restarts,
@@ -213,7 +256,6 @@ def _cmd_profile(parser, args) -> int:
 
 
 def _cmd_gen(parser, args) -> int:
-    args.gen = args.shape
     data = _build_generated(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -265,6 +307,7 @@ def _geometric_schedule(beta_min: float, beta_max: float, ratio: float) -> List[
 def _cmd_da_trace(parser, args) -> int:
     _validate_da_args(parser, args)
     data = _load_dataset(args)
+    _check_output(args.output)
     mean = np.average(data.points, axis=0, weights=data.weights)
     C = posterior_covariance(data, mean[None, :], 1.0, 0)
     lam, _ = largest_eigenvalue(C)
@@ -311,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(func=_cmd_profile, parser=p_prof)
 
     p_gen = subs.add_parser("gen", help="write a synthetic dataset as CSV")
-    p_gen.add_argument("shape", choices=_GENERATORS, help="dataset family")
+    p_gen.add_argument("gen", metavar="shape", choices=_GENERATORS, help="dataset family")
     _add_gen_params(p_gen)
     p_gen.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     p_gen.add_argument("--output", default=None, help="output path (default stdout)")

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import _BLOCK_BYTES, _EPS, _TILE, _blocks, _sq_distances
+from .linalg import _BLOCK_BYTES, _EPS, _TILE, _blocks, _sq_distances, _symmetrize
 
 __all__ = ["ClusteringSolution", "kmeans", "spectral_basis", "spectral_cluster"]
 
@@ -607,10 +607,16 @@ def _support(K: np.ndarray) -> np.ndarray:
     return linked
 
 
-def _laplacian(K: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """I - S K S with S = diag(s), symmetrized."""
-    L = np.eye(len(s)) - s[:, None] * K * s[None, :]
-    return (L + L.T) / 2.0
+def _laplacian(B: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(L + L.T) / 2 for L = I - S B S with S = diag(s), bitwise, built in
+    place in B, a copy of a kernel block: the product, then the negation
+    as 0.0 - x, which keeps +0.0 where I - S B S has it, then 1.0 on the
+    diagonal, (0.0 - x) + 1.0 being 1.0 - x, then the tiled symmetrize."""
+    B *= s[:, None]
+    B *= s[None, :]
+    np.subtract(0.0, B, out=B)
+    B.flat[:: len(B) + 1] += 1.0
+    return _symmetrize(B)
 
 
 def _excluded(L: np.ndarray, null: np.ndarray, tau: float) -> bool:
@@ -685,7 +691,7 @@ def spectral_basis(K: np.ndarray, k_max: int) -> np.ndarray:
     if len(comps) == 1:
         # numpy's eigh serves as embedding infrastructure here; the
         # persistence eigenvalue paths use the solvers in linalg
-        _, V = np.linalg.eigh(_laplacian(K, s))
+        _, V = np.linalg.eigh(_laplacian(K.copy(), s))
         return V[:, :k_max].copy()
     basis = np.zeros((n, min(k_max, n)))
     for j, c in enumerate(comps[: basis.shape[1]]):

@@ -401,16 +401,27 @@ def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndar
     members = np.asarray(cluster_members)
     if members.size == 0:
         raise ValueError("empty cluster")
-    B = K[np.ix_(members, members)]
+    return _center_kernel_block(K[np.ix_(members, members)])
+
+
+def _center_kernel_block(B: np.ndarray) -> np.ndarray:
+    """The C-contiguous square B, doubly centered and symmetrized in place,
+    with the rounded steps of (A + A.T) / 2 for
+    A = B - rm[:, None] - rm[None, :] + c, rm the row means of B and c its
+    mean: kernel_scatter_matrix's block of a gathered copy, or, for the
+    block of every point, of K itself."""
     rm = B.mean(axis=1)
     c = B.mean()
-    # the gathered copy is centered and symmetrized in place, with the
-    # rounded steps of (A + A.T) / 2 for A = B - rm[:, None] - rm[None, :] + c,
-    # one tile and its mirror image at a time: x + y is y + x, so both take
-    # the same bits
     B -= rm[:, None]
     B -= rm[None, :]
     B += c
+    return _symmetrize(B)
+
+
+def _symmetrize(B: np.ndarray) -> np.ndarray:
+    """The square B replaced by (B + B.T) / 2, bitwise, in place, one tile
+    and its mirror image at a time: x + y is y + x, so both take the same
+    bits."""
     bands = _blocks(len(B), _TILE)
     for i, r in enumerate(bands):
         for col in bands[i:]:

@@ -28,7 +28,7 @@ from clusterpersist import (
     gen_two_disks,
 )
 from clusterpersist.cli import main
-from helpers import DATA_DIR, child_env
+from helpers import DATA_DIR, child_env, openblas_corename
 
 
 def run_cli(argv, capsys):
@@ -196,6 +196,87 @@ def test_gen_respects_output_path(capsys, tmp_path):
     assert labels == {"0", "1"}
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "rings", "--radii", "1,x"], "--radii"),
+        (["gen", "rings", "--radii", "2,1"], "--radii"),
+        (["gen", "rings", "--radii", "1,inf"], "--radii"),
+        (["gen", "gaussians4", "--n", "0"], "--n"),
+        (["gen", "gaussians4", "--sd", "0"], "--sd"),
+        (["gen", "gaussians4", "--sd", "1e-200"], "--sd"),
+        (["gen", "superclusters", "--super-spacing", "1"], "--super-spacing"),
+        (["gen", "superclusters", "--sub-spacing", "30"], "--super-spacing"),
+        (["gen", "superclusters", "--sub-spacing", "-1"], "--sub-spacing"),
+        (["gen", "spirals", "--arms", "0"], "--arms"),
+        (["gen", "spirals", "--noise", "nan"], "--noise"),
+        (["gen", "two-disks", "--R", "inf"], "--R"),
+        (["gen", "two-disks", "--gap", "0"], "--gap"),
+        (["profile", "--gen", "rings", "--n", "0", "--k-max", "3"], "--n"),
+        (["da-trace", "--gen", "gaussians4", "--gap", "-1"], "--gap"),
+    ],
+)
+def test_bad_generator_flags_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+
+
+def test_a_generator_flag_error_shows_the_value_in_effect(capsys):
+    # --super-spacing is omitted, so its default of 20 is below --sub-spacing
+    with pytest.raises(SystemExit):
+        main(["gen", "superclusters", "--sub-spacing", "30"])
+    err = capsys.readouterr().err
+    assert err.endswith("error: --super-spacing must be finite and exceed --sub-spacing, got 20.0\n")
+
+
+def test_generator_flags_of_another_shape_are_not_checked(capsys):
+    # --arms is not a rings parameter, so its value is ignored as before
+    code, out, _ = run_cli(["gen", "rings", "--n", "2", "--arms", "0"], capsys)
+    assert code == 0
+    assert out == dataset_csv(gen_rings([1.0, 2.0, 3.0], 2, 0.01, 0))
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["profile", "--gen", "two-disks", "--n", "20", "--k-max", "3"], "persistence_profile"),
+        (["estimate", "--gen", "two-disks", "--n", "20", "--k-max", "3"], "persistence_profile"),
+        (["da-trace", "--gen", "two-disks", "--n", "20"], "anneal"),
+    ],
+    ids=["profile", "estimate", "da-trace"],
+)
+def test_unwritable_output_fails_before_the_work(argv, work, capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: ran.append(args))
+    path = tmp_path / "nodir" / "x.csv"
+    code, out, err = run_cli(argv + ["--output", str(path)], capsys)
+    assert (code, out, ran) == (1, "", [])
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # k-max above N - 1, which the sweep refuses
+        ["profile", "--gen", "two-disks", "--n", "20", "--k-max", "60"],
+        # a schedule of more than 100000 steps, refused before the anneal
+        ["da-trace", "--gen", "two-disks", "--n", "20", "--ratio", "1.000000001"],
+    ],
+    ids=["profile", "da-trace"],
+)
+def test_output_is_left_as_it_was_when_the_run_fails_later(argv, capsys, tmp_path):
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("earlier output\n")
+    for path in (kept, fresh):
+        code, _, err = run_cli(argv + ["--output", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
+
+
 def test_profile_csv_stdout(capsys):
     code, out, _ = run_cli(
         ["profile", "--gen", "two-disks", "--n", "2000", "--k-max", "6",
@@ -306,33 +387,100 @@ def test_da_trace_gaussians(capsys, tmp_path):
     assert again == out
 
 
-# The sha256 of the stdout of three README commands (the Experiments table's
-# profile form for the first two), and of the file the da-trace command
-# writes, whose free energies the stdout does not show. Identical arguments
-# give byte-identical output (README, Determinism), so a change that moves
-# any output bit fails here and has to re-record the digest and say why.
-PINNED_STDOUT = [
-    ("profile --gen superclusters --super-spacing 5 --k-max 12",
-     "2afa212bd4303248a2f9272f431d8e0eb9c0656f5c9f97396008d190b6a6c07c", None),
-    ("profile --input {data}/iris.csv --label-col 4 --k-max 10",
-     "c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0", None),
-    ("da-trace --gen gaussians4 --output {tmp}/trace.csv",
-     "6d99c50a2d8b7bd81e60ba6bf639d5fa9bdf41d82a990bb19c2665b43ef7bd4f",
-     "d74918c3784bd639475172c9670c1d3f02561fe14bb43195cb997abca8a2a6e8"),
-]
+# Three README commands (the Experiments table's profile form for the first
+# two); the da-trace one also writes a file, whose free energies its stdout
+# does not show.
+PINNED_COMMANDS = {
+    "superclusters": "profile --gen superclusters --super-spacing 5 --k-max 12",
+    "iris": "profile --input {data}/iris.csv --label-col 4 --k-max 10",
+    "da-trace": "da-trace --gen gaussians4 --output {tmp}/trace.csv",
+}
+# The sha256 of each command's stdout and of the file it writes, per OpenBLAS
+# kernel core as helpers.openblas_corename names it. Identical arguments give
+# byte-identical output on one BLAS build, kernel and thread count (README,
+# Determinism), so a change that moves any output bit fails here and has to
+# re-record the digests and say why. The Haswell ones are read in a child
+# interpreter run with OPENBLAS_CORETYPE=Haswell.
+PINNED_STDOUT = {
+    "SkylakeX": {
+        "superclusters": ("2afa212bd4303248a2f9272f431d8e0eb9c0656f5c9f97396008d190b6a6c07c", None),
+        "iris": ("c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0", None),
+        "da-trace": ("6d99c50a2d8b7bd81e60ba6bf639d5fa9bdf41d82a990bb19c2665b43ef7bd4f",
+                     "d74918c3784bd639475172c9670c1d3f02561fe14bb43195cb997abca8a2a6e8"),
+    },
+    "Haswell": {
+        "superclusters": ("dc15d13805378702284f026d878b6da4a5514f8374c76ffe06b4a1ef6842897d", None),
+        "iris": ("c27108be695bff34623e38b31bd09a0af12ccadafd5919197cf0a6bee3c572e0", None),
+        "da-trace": ("edc8c8b311a08b468f93866f344bb7809360e332ecef06f28e6b50c24be5ac79",
+                     "4e74a8d2bb53a632e34b17cadd29c1ec10ffc5e1be4502928063ab42c1689a7b"),
+    },
+}
 
 
-@pytest.mark.parametrize(
-    "command, digest, file_digest", PINNED_STDOUT, ids=["superclusters", "iris", "da-trace"]
-)
-def test_readme_command_stdout_is_pinned(command, digest, file_digest, capsys, tmp_path):
-    argv = shlex.split(command.format(data=DATA_DIR, tmp=tmp_path))
-    code, out, _ = run_cli(argv, capsys)
+def pinned_digests(core):
+    """The digests recorded for this core; a core without them skips, naming
+    itself, rather than passing unchecked."""
+    if core not in PINNED_STDOUT:
+        pytest.skip(f"no README stdout digests recorded for OpenBLAS core {core}")
+    return PINNED_STDOUT[core]
+
+
+def pinned_argv(name, tmp_path):
+    return shlex.split(PINNED_COMMANDS[name].format(data=DATA_DIR, tmp=tmp_path))
+
+
+@pytest.mark.parametrize("name", list(PINNED_COMMANDS))
+def test_readme_command_stdout_is_pinned(name, capsys, tmp_path):
+    digest, file_digest = pinned_digests(openblas_corename())[name]
+    code, out, _ = run_cli(pinned_argv(name, tmp_path), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
     if file_digest is not None:
         written = (tmp_path / "trace.csv").read_bytes()
         assert hashlib.sha256(written).hexdigest() == file_digest
+
+
+# Runs the pinned commands, given as a JSON object of argument lists, in a
+# child interpreter and prints the OpenBLAS core name it ran on, each exit
+# code with the sha256 of its stdout, and the sha256 of the file named last,
+# as one JSON object. A child whose core is not the one asked for stops
+# before the commands.
+_PINNED_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from clusterpersist.cli import main
+from helpers import openblas_corename
+
+out = {"core": openblas_corename()}
+if out["core"] == sys.argv[1]:
+    for name, argv in json.loads(sys.argv[2]).items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        out[name] = [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+    out["file"] = hashlib.sha256(Path(sys.argv[3]).read_bytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_readme_command_stdout_is_pinned_under_haswell_kernels(tmp_path):
+    want = "Haswell"
+    commands = {name: pinned_argv(name, tmp_path) for name in PINNED_COMMANDS}
+    res = subprocess.run(
+        [sys.executable, "-c", _PINNED_CHILD, want, json.dumps(commands),
+         str(tmp_path / "trace.csv")],
+        capture_output=True,
+        text=True,
+        env=child_env(OPENBLAS_CORETYPE=want),
+    )
+    assert res.returncode == 0, res.stderr
+    child = json.loads(res.stdout.strip().splitlines()[-1])
+    if child["core"] != want:
+        pytest.skip(f"OpenBLAS did not switch to {want} kernels; its core is {child['core']}")
+    for name, (digest, file_digest) in PINNED_STDOUT[want].items():
+        assert child[name] == [0, digest], name
+        if file_digest is not None:
+            assert child["file"] == file_digest
 
 
 def test_da_trace_output_file_is_the_trace_csv(capsys, tmp_path, monkeypatch):

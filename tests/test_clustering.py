@@ -400,6 +400,37 @@ def spy_eigensolvers(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("n", [1, 2, 180, 181, 182, 362, 363, 364])
+def test_laplacian_in_place_is_bitwise_the_whole_array_expression(n):
+    # one tile of _TILE = 181 rows, then two and three; K is not symmetric,
+    # so the tile pairing shows, and holds zeros of both signs, whose I - S K S
+    # entries are +0.0
+    assert clustering._TILE == 181
+    rng = np.random.default_rng(n)
+    K = rng.uniform(size=(n, n))
+    K[rng.uniform(size=(n, n)) < 0.3] = 0.0
+    K[rng.uniform(size=(n, n)) < 0.1] = -0.0
+    s = rng.uniform(0.5, 2.0, size=n)
+    L = np.eye(n) - s[:, None] * K * s[None, :]
+    want = (L + L.T) / 2.0
+    B = K.copy()
+    got = clustering._laplacian(B, s)
+    assert got is B
+    assert got.tobytes() == want.tobytes()
+
+
+def test_connected_basis_holds_two_arrays_beside_k():
+    # the Laplacian, built in place in one copy of K, and eigh's eigenvectors
+    ds = normalize_zscore(gen_spirals(3, 200, 0.02, seed=0))
+    K = gaussian_kernel(ds, 0.08)
+    assert len(clustering._components(K != 0)) == 1
+    before = K.copy()
+    basis, peak = allocation_peak(spectral_basis, K, 6)
+    assert peak <= 2.1 * K.nbytes
+    assert K.tobytes() == before.tobytes()
+    assert basis.tobytes() == oracle_dense_basis(K, 6).tobytes()
+
+
 def test_disconnected_basis_is_bitwise_the_all_components_oracle(monkeypatch):
     calls = spy_eigensolvers(monkeypatch)
     twins = skipped = 0

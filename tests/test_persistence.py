@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -17,6 +18,7 @@ from clusterpersist import (
     critical_beta_kernel,
     gaussian_kernel,
     gen_rings,
+    gen_spirals,
     gen_two_disks,
     kernel_scatter_matrix,
     kmeans,
@@ -28,7 +30,15 @@ from clusterpersist import (
     spectral_basis,
     spectral_cluster,
 )
-from helpers import DATA_DIR, allocation_peak, blobs, same_partition, sym
+from helpers import (
+    DATA_DIR,
+    allocation_peak,
+    blobs,
+    gate_4a_profile,
+    openblas_corename,
+    same_partition,
+    sym,
+)
 
 
 def manual_solution(X, assignment, k):
@@ -529,6 +539,108 @@ def test_kernel_critical_beta_holds_one_working_block_beside_k():
     assert peak <= 1.25 * K.nbytes
     lam, _ = largest_eigenvalue(kernel_scatter_matrix(K, np.arange(ds.n)))
     assert cb == (1.0 / (2.0 * lam), 0)
+
+
+def test_kernel_sweep_holds_less_than_a_second_k_beside_the_data():
+    # the sweep solves its k = 1 block on K itself, centered in place, so its
+    # peak is K plus the k = 2 blocks (1.61 K), not K plus a gathered copy
+    n = 1350  # gate 4a's points
+    prof, peak = allocation_peak(gate_4a_profile)
+    assert prof.k_t == 3
+    assert peak <= 1.7 * 8 * n * n
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_critical_beta_kernel_leaves_the_callers_k_unchanged(k):
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 100, 0.01, seed=0))
+    K = gaussian_kernel(ds, 0.05)
+    before = K.copy()
+    sol = manual_solution(ds.points, np.arange(ds.n) % k, k)
+    critical_beta_kernel(sol, K)
+    critical_beta_kernel(sol, K, {})
+    assert K.tobytes() == before.tobytes()
+
+
+# sha256 of the JSON profile and the per-k assignments of kernel sweeps of
+# three rings (disconnected graph) and three spirals (connected graph) of 600
+# points, per OpenBLAS core as helpers.openblas_corename names it; recorded
+# when the k = 1 block was still a gathered copy and the Laplacian was built
+# from temporaries, which the in-place forms must not move by a bit
+KERNEL_PROFILE_DIGESTS = {
+    "SkylakeX": {
+        ("rings", 0): "32bdd48d95b43152bc11750b1d447612656523afb7cdb69ad92fe542a9c45b77",
+        ("rings", 1): "c83dcb09ac1794f86f67426cbea2ebb597fa0e3d344251526682db4943a5aa01",
+        ("rings", 2): "3b310ecdc2c81f68b40ea67d6f79bebf109c86c6d7faa7a154995e3bccfd89ca",
+        ("spirals", 0): "d2cab76e1711ef25f69de32983b60dbd177e7603575a541f68006002d6cacb38",
+        ("spirals", 1): "18cf578b5387063d5ee6d20253643d3a5c76394b0a0ce2e7dfe0ae4cb45ee4e0",
+        ("spirals", 2): "5ed2e062e7615b9c0fde343def6e8733bdea9ff679466605355b4c943aa6d506",
+    },
+    "Haswell": {
+        ("rings", 0): "49dd4d8eb68a819dd76906439ceea82a3ee62325ebb6825771625af8dd4981ac",
+        ("rings", 1): "c313de02ea6970438c2a24e7ca624a7e0141be16380476a472a7db6d023ad239",
+        ("rings", 2): "211bcfde1e715d8f203cd401c2e334d70a298a31d41f5abad2ea0df361d9b619",
+        ("spirals", 0): "2827dcc32d5e7e5def39f349adc97b4ff5c6dc155fe3fa0732aaf5d4eba3ea4b",
+        ("spirals", 1): "ff395aa4199e1ec8ca4469b805e03e528d7b5995c996f78be0950b858dc6b1e3",
+        ("spirals", 2): "201fe8bf8c9bc738734be474f60514dd5d506182fa9b4a605a4f5efa7ba4b0ff",
+    },
+}
+KERNEL_SHAPES = {
+    "rings": (lambda: gen_rings([1.0, 2.0, 3.0], 200, 0.01, seed=0), 0.01),
+    "spirals": (lambda: gen_spirals(3, 200, 0.02, seed=0), 0.08),
+}
+
+
+@pytest.mark.parametrize("shape", list(KERNEL_SHAPES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_profile_is_the_recorded_bytes(shape, seed):
+    core = openblas_corename()
+    if core not in KERNEL_PROFILE_DIGESTS:
+        pytest.skip(f"no kernel profile digests recorded for OpenBLAS core {core}")
+    gen, sigma = KERNEL_SHAPES[shape]
+    prof = persistence_profile(
+        normalize_zscore(gen()), k_max=6, mode="kernel", sigma=sigma, restarts=8, seed=seed
+    )
+    assignments = {k: s.assignment.tolist() for k, s in prof.per_k_solutions.items()}
+    doc = [prof.to_json_dict(), assignments]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == KERNEL_PROFILE_DIGESTS[core][shape, seed]
+
+
+def test_kernel_sweep_reports_a_failure_at_k_1_ahead_of_a_later_k():
+    # identical points: every centered block is 0, so k = 1 and k = 2 both
+    # find the resolution unbounded; k = 1, solved last, is still reported
+    with pytest.raises(ValueError) as exc:
+        persistence_profile(Dataset(np.zeros((10, 2))), k_max=3, mode="kernel", sigma=1.0)
+    assert str(exc.value) == "k=1: resolution unbounded; reduce k_max"
+    assert str(exc.value.__cause__) == "resolution unbounded; reduce k_max"
+
+
+def test_kernel_sweep_reports_a_later_failure_once_k_1_is_solved(monkeypatch):
+    # k = 1 passes, so k = 3's error is raised, after the k = 1 block (K
+    # centered in place) has been solved
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 30, 0.01, seed=0))
+    solved = counting_eigensolver(monkeypatch)
+    cluster = persistence.spectral_cluster
+
+    def failing_at_3(basis, k, restarts, seed):
+        if k == 3:
+            raise RuntimeError("no clusters")
+        return cluster(basis, k, restarts=restarts, seed=seed)
+
+    monkeypatch.setattr(persistence, "spectral_cluster", failing_at_3)
+    with pytest.raises(RuntimeError, match="^k=3: no clusters$"):
+        persistence_profile(ds, k_max=4, mode="kernel", sigma=0.1)
+    K = gaussian_kernel(ds, 0.1)
+    assert kernel_scatter_matrix(K, np.arange(ds.n)).tobytes() in solved
+
+
+def test_kernel_profile_dicts_keep_ascending_k():
+    ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 30, 0.01, seed=0))
+    for k_min in (1, 2, 3):
+        prof = persistence_profile(ds, k_max=5, mode="kernel", sigma=0.1, k_min=k_min)
+        ks = list(range(max(1, k_min - 1), 6))
+        assert list(prof.beta_bar) == list(prof.critical_cluster) == ks
+        assert list(prof.per_k_solutions) == ks
 
 
 def test_block_is_its_member_set_whatever_the_centroids(monkeypatch):
