@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _require_integer
 from .linalg import _norm, _sq_distances, largest_eigenvalue
 
 __all__ = [
@@ -123,12 +123,12 @@ def da_fixed_point(
     from Y - 2 alpha r + alpha^2 v; alpha = -1 gives Y2 itself, which is
     also taken when v = 0 or the extrapolated point is not finite.
 
-    max_iter counts evaluations of F. The movement test is the plain
-    iteration's: after each evaluation, F(Y) is returned once the maximum
-    centroid movement max|F(Y) - Y| is below tol; exceeding max_iter raises
-    with the last movement as the residual. Callers that only need positions
-    resolved to a coarser scale can pass accept: a final movement at or below
-    it is returned instead of raising.
+    max_iter, an integer >= 1, counts evaluations of F. The movement test is
+    the plain iteration's: after each evaluation, F(Y) is returned once the
+    maximum centroid movement max|F(Y) - Y| is below tol; exceeding max_iter
+    raises with the last movement as the residual. Callers that only need
+    positions resolved to a coarser scale can pass accept: a final movement
+    at or below it is returned instead of raising.
 
     Each evaluation calls gibbs_associations once, takes the (k, N) array
     behind its result, scales it in place by 1/N, and forms the masses as its
@@ -137,6 +137,7 @@ def da_fixed_point(
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
+    _require_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X, w = data.points, 1.0 / data.n  # every entry of data.weights
@@ -177,7 +178,11 @@ def _squarem_step(Y0: np.ndarray, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray:
 def posterior_covariance(data: Dataset, centroids: np.ndarray, beta: float, j: int) -> np.ndarray:
     """Covariance of cluster j under the posterior p(i|j), normalized so the
     posterior weights sum to 1 (the soft analogue of a covariance, distinct
-    from the unnormalized hard scatter)."""
+    from the unnormalized hard scatter). j must be an integer in 0..k-1."""
+    _require_integer("j", j)
+    k = len(np.atleast_2d(centroids))
+    if k and not 0 <= j < k:  # no centroid at all is refused by the shape check
+        raise ValueError(f"j must lie in 0..{k - 1}, got {j}")
     return _posterior_covariance(data, gibbs_associations(data, centroids, beta), centroids, j)
 
 

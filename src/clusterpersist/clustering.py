@@ -17,14 +17,13 @@ matrix on every pass.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _require_integer
 from .linalg import _BLOCK_BYTES, _EPS, _TILE, _blocks, _sq_distances, _symmetrize
 
 __all__ = ["ClusteringSolution", "kmeans", "spectral_basis", "spectral_cluster"]
@@ -59,14 +58,6 @@ class ClusteringSolution:
 
     def members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == j)
-
-
-def _require_integer(name: str, value, minimum: float = -math.inf) -> None:
-    """ValueError unless value is an integer (numbers.Integral, not bool) of
-    at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        floor = "" if minimum == -math.inf else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
 
 
 # numpy sums a row of fewer than 8 values left to right, which is also the

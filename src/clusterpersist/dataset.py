@@ -1,11 +1,14 @@
 """Dataset container, CSV loading, z-score normalization, and synthetic generators.
 
 All generators are pure functions of their parameters and seed, built on
-numpy's seedable PCG64 generator so repeat runs are bit-identical.
+numpy's seedable PCG64 generator so repeat runs are bit-identical. Their
+point and arm counts must be integers (numbers.Integral, not bool).
 """
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,6 +32,14 @@ __all__ = [
 _SPIRAL_R0 = 0.5
 _SPIRAL_R1 = 3.0
 _SPIRAL_TURNS = 1.5
+
+
+def _require_integer(name: str, value, minimum: float = -math.inf) -> None:
+    """ValueError unless value is an integer (numbers.Integral, not bool) of
+    at least minimum. Kept here, in the module every layer imports."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        floor = "" if minimum == -math.inf else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
 
 
 @dataclass
@@ -170,7 +181,9 @@ def gen_gaussian_mixture(means, covariances, counts, seed: int) -> Dataset:
     """Sample a labeled Gaussian mixture with the given component counts."""
     if len(means) != len(covariances) or len(means) != len(counts):
         raise ValueError("means, covariances and counts must have equal length")
-    if any(int(c) <= 0 for c in counts):
+    for c in counts:
+        _require_integer("each component count", c)
+    if any(c <= 0 for c in counts):
         raise ValueError("component counts must be positive")
     rng = np.random.default_rng(seed)
     pts, labs = [], []
@@ -187,6 +200,7 @@ def gen_two_disks(R: float, center_gap: float, n_per_disk: int, seed: int) -> Da
     """
     if R <= 0 or center_gap <= 0:
         raise ValueError("R and center_gap must be positive")
+    _require_integer("n_per_disk", n_per_disk)
     if n_per_disk < 1:
         raise ValueError("n_per_disk must be at least 1")
     rng = np.random.default_rng(seed)
@@ -210,6 +224,7 @@ def gen_supercluster_grid(
     """
     if not super_spacing > sub_spacing > 0:
         raise ValueError("require super_spacing > sub_spacing > 0")
+    _require_integer("n_per_sub", n_per_sub)
     means = []
     for sa in np.deg2rad([90.0, 210.0, 330.0]):
         sc = super_spacing * np.array([np.cos(sa), np.sin(sa)])
@@ -223,6 +238,7 @@ def gen_rings(radii: Sequence[float], n_per_ring: int, noise_sd: float, seed: in
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be positive and strictly increasing")
+    _require_integer("n_per_ring", n_per_ring)
     if n_per_ring < 1:
         raise ValueError("n_per_ring must be at least 1")
     rng = np.random.default_rng(seed)
@@ -238,10 +254,10 @@ def gen_rings(radii: Sequence[float], n_per_ring: int, noise_sd: float, seed: in
 
 def gen_spirals(n_arms: int, n_per_arm: int, noise_sd: float, seed: int) -> Dataset:
     """Interleaved spiral arms with Gaussian jitter, labeled per arm."""
-    if n_arms < 1:
-        raise ValueError("n_arms must be at least 1")
-    if n_per_arm < 1:
-        raise ValueError("n_per_arm must be at least 1")
+    for name, count in (("n_arms", n_arms), ("n_per_arm", n_per_arm)):
+        _require_integer(name, count)
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
     rng = np.random.default_rng(seed)
     pts, labs = [], []
     t = np.linspace(0.0, 1.0, n_per_arm)

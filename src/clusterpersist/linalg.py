@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _require_integer
 
 __all__ = [
     "largest_eigenvalue",
@@ -178,8 +178,10 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.nda
 
     Returns (eigenvalues ascending, eigenvectors as columns). Intended for
     small orders; cost grows cubically per sweep. A nearly symmetric M is
-    solved as its upper triangle mirrored.
+    solved as its upper triangle mirrored. max_sweeps must be an integer
+    >= 0.
     """
+    _require_integer("max_sweeps", max_sweeps, 0)
     M = _require_symmetric(M)
     n = M.shape[0]
     if n == 1:

@@ -20,10 +20,9 @@ from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .clustering import _require_integer
 from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
-from .dataset import Dataset
-from .linalg import _block_rows, _blocks, _center_kernel_block, _kernel_denominator
+from .dataset import Dataset, _require_integer
+from .linalg import _TILE, _center_kernel_block, _kernel_denominator
 from .linalg import gaussian_kernel, kernel_scatter_matrix, largest_eigenvalue, scatter_matrix
 
 __all__ = [
@@ -47,12 +46,12 @@ class CriticalBeta(NamedTuple):
 # gaussian_kernel holds K and one row block; spectral_basis holds K, the
 # Laplacian, built in place in one copy of K, and its eigenvectors for a
 # connected graph, the worst case, or K and per-component blocks for a
-# disconnected one; the critical-beta loop holds K and the cluster blocks of
-# one k >= 2, whose squared sizes sum to at most N^2, and at k = 1 K alone,
-# centered in place. Measured by tracemalloc beside K (1350 points): the
-# three rings hold at most 0.61 K more, at k = 2, and the connected spirals
-# 2.00 K more in spectral_basis. eigh's workspace comes on top, so the guard
-# rejects only sweeps that cannot fit.
+# disconnected one; the critical-beta loop holds K, one block of more than
+# one tile and the blocks of at most one tile of one k >= 2, and at k = 1 K
+# alone, centered in place. Measured by tracemalloc beside K (1350 points):
+# the three rings hold at most 0.49 K more, at k = 2, and the connected
+# spirals 2.00 K more in spectral_basis. eigh's workspace comes on top, so
+# the guard rejects only sweeps that cannot fit.
 _KERNEL_DENSE_ARRAYS = 3
 
 
@@ -75,72 +74,67 @@ def _check_kernel_memory(n: int) -> None:
 
 
 # A block is skipped only when its Frobenius bound, raised by this relative
-# slack, is still below the largest eigenvalue known at its k; and only when
-# n*n*eps, the scale of the rounding in both the bound and the solver, is at
-# most a hundredth of the slack, which holds up to order 6710
+# slack, is still below the largest eigenvalue known at its k
 _SKIP_SLACK = 1e-6
-_SKIP_MAX_ORDER = math.isqrt(int(1e-2 * _SKIP_SLACK / np.finfo(float).eps))
 
 
 def _frobenius_bound(M: np.ndarray) -> float:
     """||M||_F, an upper bound on the spectral radius of a symmetric M.
 
     It is taken of M scaled by its largest magnitude m, so that no scale of
-    M overflows or underflows. The squares of M / m are summed one row block
-    at a time, each block by one dot product: a matrix of one block gets the
-    bits of m * np.linalg.norm(M / m), and over several blocks the sum
-    rounds within the n*n*eps that _critical_beta allows for. A NaN anywhere
-    in M makes m, and so the bound, NaN; an inf makes it NaN too.
+    M overflows or underflows. A NaN anywhere in M makes m, and so the
+    bound, NaN; an inf makes it NaN too.
     """
     m = float(np.maximum(M.max(), -M.min()))
     if m == 0.0:
         return 0.0
-    total = 0.0
-    for r in _blocks(len(M), _block_rows(M.shape[1])):
-        x = (M[r] / m).ravel(order="K")
-        total += float(x.dot(x))
-    return m * math.sqrt(total)
+    return m * float(np.linalg.norm(M / m))
 
 
-def _critical_beta(solution: ClusteringSolution, build, cache: Optional[dict]) -> CriticalBeta:
+def _critical_beta(solution: ClusteringSolution, n: int, build, cache) -> CriticalBeta:
     """The critical-resolution loop shared by both scatter kinds.
 
     A cluster block is a function of its member indices m alone: build(m)
     makes the matrix, and cache, if given, maps m.tobytes() to top
-    eigenvalues already solved, so a hit reuses one.
+    eigenvalues already solved, so a hit reuses one. A solution that does
+    not assign the n points that build indexes raises ValueError first.
 
     Only the largest top eigenvalue, and the first cluster that has it,
-    reach the result, so a block that provably cannot reach it is not
-    solved. Blocks missing from the cache are visited widest first, by their
-    Frobenius norm b (see _frobenius_bound), which bounds the spectral
-    radius rho, and one is skipped when b * (1 + _SKIP_SLACK) is below the
-    largest eigenvalue already known at this k. The result is bitwise the
-    one from solving every block: the solver's value, a Jacobi diagonal or
-    the Rayleigh quotient of the Lanczos Ritz vector, exceeds the lambda_max
-    of an n x n matrix by rounding alone, and the computed b falls short of
-    rho by rounding alone, each a small multiple of n*n*eps relative to rho.
-    For n up to _SKIP_MAX_ORDER that is at most a hundredth of the slack, so
+    reach the result. A block of more than _TILE rows is solved as soon as
+    it is built, and so released before the next one is built. Smaller
+    blocks are held and solved widest first by their Frobenius norm b, a
+    bound on the spectral radius rho, and one is skipped when
+    b * (1 + _SKIP_SLACK) is below the largest eigenvalue already known at
+    this k. The solver's value, a Jacobi diagonal or a Lanczos Rayleigh
+    quotient, exceeds the lambda_max of an n x n matrix, and the computed b
+    falls short of rho, by rounding alone: a small multiple of
+    n*n*eps < 1e-11 relative to rho for n <= _TILE, far below the slack. So
     a skipped block's solver value would have been strictly below the kept
-    maximum, and neither the max nor its first argmax moves. A block with a
-    non-finite bound fails the comparison and is solved. Skipped blocks are
-    not cached.
+    maximum, and the result is bitwise the one from solving every block. A
+    block with a non-finite bound fails the comparison and is solved.
+    Skipped blocks are not cached.
     """
+    if len(solution.assignment) != n:
+        raise ValueError(f"solution assigns {len(solution.assignment)} points, not the data's {n}")
     cache = {} if cache is None else cache
     lmax = np.zeros(solution.k)
-    unsolved = []
+    held = []
     for j in range(solution.k):
         members = solution.members(j)
         if members.size <= 1:
             continue
         block = members.tobytes()
-        if block in cache:
-            lmax[j] = cache[block]
-        else:
+        if block not in cache:
             M = build(members)
-            unsolved.append((_frobenius_bound(M), j, block, M))
+            if len(M) <= _TILE:
+                held.append((_frobenius_bound(M), j, block, M))
+                continue
+            cache[block], _ = largest_eigenvalue(M)
+            del M  # before the next block is built
+        lmax[j] = cache[block]
     best = lmax.max()
-    for bound, j, block, M in sorted(unsolved, key=lambda u: u[0], reverse=True):
-        if best > 0.0 and M.shape[0] <= _SKIP_MAX_ORDER and bound * (1.0 + _SKIP_SLACK) < best:
+    for bound, j, block, M in sorted(held, key=lambda u: u[0], reverse=True):
+        if best > 0.0 and bound * (1.0 + _SKIP_SLACK) < best:
             continue
         cache[block], _ = largest_eigenvalue(M)
         lmax[j] = cache[block]
@@ -158,15 +152,15 @@ def critical_beta(
 
     Singleton clusters have zero scatter and simply lose the max; if every
     cluster has zero spectrum the resolution is unbounded and an error is
-    raised. Each scatter is taken about its member mean, so
-    solution.centroids is not read. cache, when given, is a dict owned by
-    one sweep over data; blocks are keyed by member set, so a cluster that
-    recurs with the same members is solved once. A scatter whose Frobenius
-    norm, a bound on its spectral radius, is below the largest eigenvalue
-    already known is not solved; the result is bitwise the same (see
-    _critical_beta).
+    raised, as it is when the solution does not assign data.n points. Each
+    scatter is taken about its member mean, so solution.centroids is not
+    read. cache, when given, is a dict owned by one sweep over data; blocks
+    are keyed by member set, so a cluster that recurs with the same members
+    is solved once. A scatter whose Frobenius norm, a bound on its spectral
+    radius, is below the largest eigenvalue already known is not solved;
+    the result is bitwise the same (see _critical_beta).
     """
-    return _critical_beta(solution, lambda m: scatter_matrix(data, m), cache)
+    return _critical_beta(solution, data.n, lambda m: scatter_matrix(data, m), cache)
 
 
 def critical_beta_kernel(
@@ -177,9 +171,10 @@ def critical_beta_kernel(
     cache, when given, is a dict owned by one sweep over K; blocks are keyed
     by member set, so a cluster that recurs across k is solved once. As in
     critical_beta, a block that provably cannot hold the largest eigenvalue
-    is not solved, with a bitwise equal result.
+    is not solved, with a bitwise equal result, and a solution that does not
+    assign the len(K) points raises ValueError.
     """
-    return _critical_beta(solution, lambda m: kernel_scatter_matrix(K, m), cache)
+    return _critical_beta(solution, len(K), lambda m: kernel_scatter_matrix(K, m), cache)
 
 
 @dataclass
@@ -250,18 +245,16 @@ def persistence_profile(
     solutions and the argmax range (used for wide scans around a known k).
 
     Work that does not depend on k is done once per sweep: in kernel mode the
-    similarity matrix and the Laplacian basis, whose first k columns embed
-    the points at every k. The basis takes one eigendecomposition per
-    connected component of the similarity graph that can reach its first
-    k_max columns; the components are visited in ascending mean degree, and
-    one is skipped when a Cholesky factorization, shifted by the k_max - m
-    lowest eigenvalues found so far plus a rounding margin delta, certifies
-    that it cannot (see spectral_basis). A cluster block is a function of
-    its members, so one that recurs across k (same members) has its top
-    eigenvalue solved once, from a cache that lives only for this call, and
-    a block whose Frobenius norm is below the largest eigenvalue known at
-    its k is not solved. The k = 1 block, that of every point, is solved
-    last, on K itself centered in place, so no second N x N copy is made.
+    similarity matrix and the Laplacian basis (see spectral_basis), whose
+    first k columns embed the points at every k; the clusterer and the
+    critical-beta function of the mode are chosen there once. A cluster
+    block is a function of its members, so one that recurs across k (same
+    members) has its top eigenvalue solved once, from a cache that lives
+    only for this call, and a block of at most one tile whose Frobenius norm
+    is below the largest eigenvalue known at its k is not solved (see
+    _critical_beta). In kernel mode the k = 1 block, that of every point, is
+    solved last, on K itself centered in place, so no second N x N copy is
+    made.
     The output is the same as clustering and solving every k, and every
     block, from scratch, in ascending k.
     Kernel mode raises ValueError before building the N x N matrices when
@@ -289,7 +282,9 @@ def persistence_profile(
         raise ValueError(f"unknown mode {mode!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    K = basis = None
+    # the clusterer and what it clusters, the critical beta and the source
+    # of its blocks, and the k whose block is solved after every other
+    cluster, points, solve, blocks, last = kmeans, data, critical_beta, data, None
     if mode == "kernel":
         if sigma is None:
             raise ValueError("kernel mode requires a positive sigma")
@@ -297,6 +292,7 @@ def persistence_profile(
         _check_kernel_memory(data.n)
         K = gaussian_kernel(data, sigma)
         basis = spectral_basis(K, k_max)
+        cluster, points, solve, blocks, last = spectral_cluster, basis, critical_beta_kernel, K, 1
 
     # top eigenvalues of the cluster blocks solved so far in this sweep
     cache: dict = {}
@@ -307,40 +303,29 @@ def persistence_profile(
         for k in range(max(1, k_min - 1), k_max + 1):
             child = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
             with _failing_at(k):
-                if mode == "linear":
-                    sols[k] = kmeans(data, k, restarts=restarts, seed=child)
-                    cbs[k] = critical_beta(sols[k], data, cache)
-                else:
-                    sols[k] = spectral_cluster(basis, k, restarts=restarts, seed=child)
-                    if k > 1:
-                        cbs[k] = critical_beta_kernel(sols[k], K, cache)
+                sols[k] = cluster(points, k, restarts=restarts, seed=child)
+                if k != last:
+                    cbs[k] = solve(sols[k], blocks, cache)
     except (ValueError, RuntimeError) as e:
         failure = e
     # The one kernel cluster at k = 1 holds every point in order, so its
     # block is K itself: it is centered in place, the sweep's last use of K,
     # with the bits of the gathered copy. It is solved also when a later k
     # has failed, as a failure at k = 1 is reported first.
-    if mode == "kernel" and 1 in sols:
-        with _failing_at(1):
-            cbs[1] = _critical_beta(sols[1], lambda m: _center_kernel_block(K), cache)
+    if last in sols:
+        with _failing_at(last):
+            cbs[last] = _critical_beta(sols[last], len(K), lambda m: _center_kernel_block(K), cache)
     if failure is not None:
         raise failure
     beta_bar = {k: cbs[k].beta for k in sols}
-    crit = {k: cbs[k].cluster for k in sols}
-
-    v: Dict[int, float] = {}
-    for k in range(max(2, k_min), k_max + 1):
-        v[k] = math.log(beta_bar[k]) - math.log(beta_bar[k - 1])
-    k_t = min(v)
-    for k in sorted(v):
-        if v[k] > v[k_t]:
-            k_t = k
+    ks = range(max(2, k_min), k_max + 1)
+    v = {k: math.log(beta_bar[k]) - math.log(beta_bar[k - 1]) for k in ks}
     return PersistenceProfile(
         k_max=k_max,
         k_min=k_min,
         beta_bar=beta_bar,
         v=v,
-        k_t=k_t,
-        critical_cluster=crit,
+        k_t=max(v, key=v.get),
+        critical_cluster={k: cbs[k].cluster for k in sols},
         per_k_solutions=sols,
     )

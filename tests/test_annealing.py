@@ -684,6 +684,36 @@ def test_fixed_point_rejects_zero_iterations_before_any_work(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("max_iter", [2.5, True, 1.0, "3"])
+def test_fixed_point_rejects_a_count_that_is_not_an_integer(monkeypatch, max_iter):
+    # 2.5 raised TypeError from range, and True ran one map evaluation
+    ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)
+    calls = []
+    monkeypatch.setattr(annealing, "gibbs_associations", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="max_iter must be an integer, got"):
+        da_fixed_point(ds, np.zeros((2, 2)), 1.0, max_iter=max_iter)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "j, match",
+    [(-1, "j must lie in 0..1, got -1"), (2, "j must lie in 0..1, got 2"),
+     (1.0, "j must be an integer, got 1.0"), (True, "j must be an integer, got True")],
+)
+def test_posterior_covariance_refuses_a_cluster_it_does_not_have(monkeypatch, j, match):
+    # -1 silently gave the covariance of the last cluster, and 2 raised
+    # IndexError once the posterior was computed
+    ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)
+    Y = np.array([[0.0, 0.0], [7.0, 0.0]])
+    want = posterior_covariance(ds, Y, 1.0, np.int64(1))
+    assert want.tobytes() == posterior_covariance(ds, Y, 1.0, 1).tobytes()
+    calls = []
+    monkeypatch.setattr(annealing, "gibbs_associations", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        posterior_covariance(ds, Y, 1.0, j)
+    assert calls == []
+
+
 @pytest.mark.parametrize("beta", [np.nan, np.inf])
 def test_nonfinite_beta_is_rejected(beta):
     ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)

@@ -110,6 +110,32 @@ def test_critical_beta_calls_the_public_scatter_builders(monkeypatch):
     assert [args[1].tolist() for args in kernel] == [sol.members(j).tolist() for j in (0, 1)]
 
 
+@pytest.mark.parametrize("k_min", [1, 3])
+def test_sweep_calls_the_public_layer_functions_once_per_k(monkeypatch, k_min):
+    # the spans the rings, grid100 and tables workloads stress: a sweep that
+    # bypassed these names would leave them empty in a traced run
+    ds, _ = small_case()
+    ks = list(range(max(1, k_min - 1), 6))
+    names = ("kmeans", "critical_beta", "spectral_cluster", "critical_beta_kernel",
+             "gaussian_kernel", "spectral_basis")
+    calls = {name: counting(monkeypatch, persistence, name) for name in names}
+
+    def ks_of(name, at):
+        return [args[at].k if at == 0 else args[at] for args in calls[name]]
+
+    persistence.persistence_profile(ds, k_max=5, restarts=2, k_min=k_min)
+    assert ks_of("kmeans", 1) == ks_of("critical_beta", 0) == ks
+    assert not any(calls[name] for name in names[2:])
+    for found in calls.values():
+        found.clear()
+    persistence.persistence_profile(ds, k_max=5, mode="kernel", sigma=2.0, restarts=2, k_min=k_min)
+    assert ks_of("spectral_cluster", 1) == ks
+    # the k = 1 block is K itself, solved without the per-k builder
+    assert ks_of("critical_beta_kernel", 0) == [k for k in ks if k >= 2]
+    assert len(calls["gaussian_kernel"]) == len(calls["spectral_basis"]) == 1
+    assert not calls["kmeans"] and not calls["critical_beta"]
+
+
 def _converges(ds, Y, cap):
     try:
         annealing.da_fixed_point(ds, Y, 0.5, tol=1e-9, max_iter=cap)

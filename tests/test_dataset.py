@@ -308,6 +308,26 @@ def test_spirals_balanced_labels_and_extent():
     assert r.max() < 3.2
 
 
+# a generator of one count argument, and a value of it that is not an integer
+COUNT_ARGUMENTS = {
+    "each component count": (lambda c: gen_gaussian_mixture([(0, 0)], [np.eye(2)], [c], seed=0), 2.7),
+    "n_per_disk": (lambda c: gen_two_disks(1.0, 4.0, c, seed=0), 2.5),
+    "n_per_sub": (lambda c: gen_supercluster_grid(10.0, 2.0, np.eye(2), c, seed=0), 3.0),
+    "n_per_ring": (lambda c: gen_rings([1.0, 2.0], c, 0.0, seed=0), True),
+    "n_arms": (lambda c: gen_spirals(c, 10, 0.0, seed=0), 2.0),
+    "n_per_arm": (lambda c: gen_spirals(2, c, 0.0, seed=0), 10.5),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_ARGUMENTS))
+def test_generator_counts_must_be_integers(name):
+    # [2.7] sampled 2 points and 2.5 per disk raised numpy's TypeError
+    make, bad = COUNT_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        make(bad)
+    assert make(np.int64(3)).n == make(3).n
+
+
 def test_spirals_validation():
     with pytest.raises(ValueError, match="n_arms"):
         gen_spirals(0, 10, 0.0, seed=0)

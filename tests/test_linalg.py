@@ -321,6 +321,20 @@ def test_jacobi_sweep_cap_raises():
             solver(M, max_sweeps=1)
 
 
+@pytest.mark.parametrize("max_sweeps", [2.5, True, -1])
+def test_jacobi_sweep_cap_must_be_a_non_negative_integer(max_sweeps):
+    # 2.5 raised TypeError from range, and -1 ran no sweep, then reported
+    # the cap as reached
+    M = sym(np.random.default_rng(6), 6)
+    with pytest.raises(ValueError, match=f"^max_sweeps must be an integer >= 0, got {max_sweeps!r}$"):
+        jacobi_eigh(M, max_sweeps=max_sweeps)
+    # no sweep at all returns a matrix that is already diagonal
+    w, V = jacobi_eigh(np.diag([3.0, 1.0, 2.0]), max_sweeps=0)
+    assert w.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(RuntimeError, match="jacobi sweep cap reached"):
+        jacobi_eigh(M, max_sweeps=0)
+
+
 def test_jacobi_bitwise_on_near_symmetric_matrices():
     # off by up to 1e-14 above the diagonal, well inside the symmetry check,
     # and in either memory order: solved as the upper triangle mirrored

@@ -510,8 +510,8 @@ def test_radius_bounds_are_at_least_the_spectral_radius(M):
 @pytest.mark.parametrize("n", [5, 400])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_frobenius_bound_of_a_non_finite_block_is_not_finite(n, bad):
-    # in the last of one row block, or of five
-    assert len(persistence._blocks(n, persistence._block_rows(n))) == (1 if n == 5 else 5)
+    # in a block of one tile, the only blocks the sweep bounds, or in the
+    # last row of a larger one
     M = sym(np.random.default_rng(n), n)
     M[n - 1, n - 2] = bad
     Z = np.zeros((n, n))
@@ -523,7 +523,8 @@ def test_frobenius_bound_of_a_non_finite_block_is_not_finite(n, bad):
 
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 def test_frobenius_bound_over_several_row_blocks(scale):
-    # five row blocks, each summed apart
+    # a block of more than one tile gets the scaled norm too, though the
+    # sweep solves such a block without bounding it
     M = sym(np.random.default_rng(7), 400) * scale
     b = persistence._frobenius_bound(M)
     assert abs(b - scale * np.linalg.norm(M / scale)) <= 1e-13 * b
@@ -543,11 +544,45 @@ def test_kernel_critical_beta_holds_one_working_block_beside_k():
 
 def test_kernel_sweep_holds_less_than_a_second_k_beside_the_data():
     # the sweep solves its k = 1 block on K itself, centered in place, so its
-    # peak is K plus the k = 2 blocks (1.61 K), not K plus a gathered copy
+    # peak is K plus the larger k = 2 block and the sweep's own arrays
+    # (1.55 K), not K plus a gathered copy (2.07 K) or both k = 2 blocks
+    # (1.66 K)
     n = 1350  # gate 4a's points
     prof, peak = allocation_peak(gate_4a_profile)
     assert prof.k_t == 3
-    assert peak <= 1.7 * 8 * n * n
+    assert peak <= 1.6 * 8 * n * n
+
+
+def test_kernel_critical_beta_holds_one_block_of_more_than_a_tile_at_a_time():
+    # gate 4a at k = 2: blocks of 900 and 450 points, both above one tile.
+    # The larger is released before the smaller is built; the Lanczos basis
+    # and the rest took 0.68 MB beside it, and holding both blocks 2.3 MB
+    prof = gate_4a_profile()
+    sol = prof.per_k_solutions[2]
+    sizes = sorted(sol.members(j).size for j in range(2))
+    assert sizes[0] > persistence._TILE
+    K = gaussian_kernel(normalize_zscore(gen_rings([1.0, 2.0, 3.0], 450, 0.01, seed=0)), 0.01)
+    cb, peak = allocation_peak(critical_beta_kernel, sol, K)
+    assert peak <= 8 * sizes[1] ** 2 + 2**20
+    assert cb.beta == prof.beta_bar[2]
+
+
+@pytest.mark.parametrize("n", [30, 41])
+@pytest.mark.parametrize("kind", ["linear", "kernel"])
+def test_critical_beta_refuses_a_solution_that_does_not_fit(monkeypatch, kind, n):
+    # a shorter solution took the scatters of the first n points, and a
+    # longer one raised IndexError from the block builder
+    ds = blobs([(0, 0), (5, 5)], 0.4, 20, seed=1)
+    built = []
+    monkeypatch.setattr(persistence, "scatter_matrix", lambda *a: built.append(a))
+    monkeypatch.setattr(persistence, "kernel_scatter_matrix", lambda *a: built.append(a))
+    sol = manual_solution(np.zeros((n, 2)), np.arange(n) % 2, 2)
+    with pytest.raises(ValueError, match=f"^solution assigns {n} points, not the data's 40$"):
+        if kind == "linear":
+            critical_beta(sol, ds)
+        else:
+            critical_beta_kernel(sol, np.eye(40), {})
+    assert built == []
 
 
 @pytest.mark.parametrize("k", [1, 2])
