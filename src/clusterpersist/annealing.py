@@ -125,10 +125,10 @@ def da_fixed_point(
 
     max_iter, an integer >= 1, counts evaluations of F. The movement test is
     the plain iteration's: after each evaluation, F(Y) is returned once the
-    maximum centroid movement max|F(Y) - Y| is below tol; exceeding max_iter
-    raises with the last movement as the residual. Callers that only need
-    positions resolved to a coarser scale can pass accept: a final movement
-    at or below it is returned instead of raising.
+    maximum centroid movement max|F(Y) - Y| is below tol, positive and
+    finite; exceeding max_iter raises with the last movement as the
+    residual. Callers that only need positions resolved to a coarser scale
+    can pass accept >= 0: a final movement at or below it is returned.
 
     Each evaluation calls gibbs_associations once, takes the (k, N) array
     behind its result, scales it in place by 1/N, and forms the masses as its
@@ -140,6 +140,10 @@ def da_fixed_point(
     _require_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if accept is not None and not accept >= 0.0:
+        raise ValueError(f"accept must be None or at least 0, got {accept!r}")
     X, w = data.points, 1.0 / data.n  # every entry of data.weights
     Y = np.atleast_2d(np.asarray(centroids_init, dtype=float)).copy()
     Y0 = Y1 = None  # the cycle's start and first image, once F(Y0) is known

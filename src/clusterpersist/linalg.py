@@ -4,10 +4,9 @@ Two eigenvalue paths, chosen by matrix size in largest_eigenvalue:
 
 * cyclic Jacobi for orders up to 5 (the 2 x 2 scatters of planar data,
   iris's 4 x 4 ones), giving the full spectrum at machine precision. Each
-  rotation turns two rows of A, then the same two columns of A and of V,
-  stacked in one array, in place; the rotation order and the elementwise
-  formulas are fixed, so the eigenpairs are bitwise stable. jacobi_eigh
-  itself takes any order;
+  rotation turns two rows of A, then the same two columns of A and of V, as
+  Python floats; the rotation order and the formulas are fixed, so the
+  eigenpairs are bitwise stable. jacobi_eigh itself takes any order;
 * Lanczos with full reorthogonalization for every larger order, scatters of
   wider data and kernel blocks alike, where only the top eigenpair is
   needed: at most n matrix-vector products against the n(n-1)/2 rotations
@@ -51,13 +50,11 @@ __all__ = [
     "gaussian_kernel",
 ]
 
-# The largest order solved by Jacobi, though Lanczos is faster from order 3
-# or 4: median ms per solve of 20 random scatters D^T D (D of 3n+5 centered
-# rows) on one OpenBLAS thread, 2-core x86-64 with SkylakeX kernels, median
-# of three loaded runs, at orders 2-6: jacobi_eigh 0.037, 0.204, 0.298,
-# 0.649, 1.283 against _lanczos 0.111, 0.176, 0.134, 0.280, 0.317. It stays
-# 5 because iris's 4 x 4 scatters are the only calls that give the
-# benchmark's tables workload the jacobi_eigh spans it checks for.
+# The largest order solved by Jacobi. Median ms per solve of 20 scatters
+# D^T D, D of 3n+5 centered rows, on one OpenBLAS thread (2-core x86-64,
+# SkylakeX kernels), at orders 2-6: jacobi_eigh 0.026 0.060 0.111 0.217
+# 0.293, _lanczos 0.062 0.086 0.108 0.132 0.163. Lanczos is faster from
+# order 5, but another split would change the bits of the blocks it moves.
 _JACOBI_MAX_ORDER = 5
 _LANCZOS_RTOL = 1e-10   # Ritz residual, relative to ||M||_inf, that ends a block
 _CERTIFIED_RTOL = 1e-8  # explicit residual bound, relative to max(1, ||M||_inf)
@@ -159,18 +156,16 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x.dot(x)))
 
 
-def _rotate(x: np.ndarray, y: np.ndarray, c, s, bx: np.ndarray, by: np.ndarray) -> None:
-    """x, y <- c*x - s*y, s*x + c*y in place, through the buffers bx and by.
-
-    Each product and each sum is its own rounded ufunc step, as in the
-    expressions written out; a fused or matrix form could round differently.
-    """
-    np.multiply(x, c, bx)
-    np.multiply(y, s, by)
-    np.multiply(x, s, x)
-    np.multiply(y, c, y)
-    np.add(x, y, y)
-    np.subtract(bx, by, x)
+def _rotate(W: list, p: int, q: int, c: float, s: float) -> None:
+    """Rows p and q of A, then columns p and q of A over V, in W (their rows
+    as Python floats), to c*x - s*y and s*x + c*y in place: each product and
+    sum one rounded double operation, never fused, as in numpy's ufuncs."""
+    x, y = W[p], W[q]
+    W[p] = [c * a - s * b for a, b in zip(x, y)]
+    W[q] = [s * a + c * b for a, b in zip(x, y)]
+    for row in W:
+        a, b = row[p], row[q]
+        row[p], row[q] = c * a - s * b, s * a + c * b
 
 
 def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.ndarray]:
@@ -186,51 +181,42 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.nda
     n = M.shape[0]
     if n == 1:
         return M.diagonal().copy(), np.eye(n)
-    # A over V in one array, so one column rotation of W turns the columns of
-    # both; A and V are C-ordered blocks, as separate copies would be
-    W = np.vstack([M, np.eye(n)])
-    A, V = W[:n], W[n:]
-    norm = np.linalg.norm(A)
+    # the rows of A over those of V; the norms are numpy's, of a C-ordered A
+    W = M.tolist() + np.eye(n).tolist()
+    norm = _norm(np.array(W[:n]))
     if norm == 0:
         return np.zeros(n), np.eye(n)
     skip = 1e-18 * norm
 
-    def offnorm(B):
+    def offnorm():
         # summed directly over off-diagonal entries; computing it as
-        # ||B||^2 - ||diag||^2 cancels catastrophically once converged
-        O = B.copy()
+        # ||A||^2 - ||diag||^2 cancels catastrophically once converged
+        O = np.array(W[:n])
         np.fill_diagonal(O, 0.0)
-        return float(np.linalg.norm(O))
+        return _norm(O)
 
-    rows = list(A)
-    cols = list(W.T)
-    rbuf = np.empty(n), np.empty(n)
-    cbuf = np.empty(2 * n), np.empty(2 * n)
-    for _ in range(max_sweeps):
-        if offnorm(A) <= 1e-14 * norm:
+    for sweep in range(max_sweeps + 1):
+        if offnorm() <= 1e-14 * norm:
             break
+        if sweep == max_sweeps:
+            raise RuntimeError("jacobi sweep cap reached without convergence")
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = float(A[p, q])
+                apq = W[p][q]
                 if abs(apq) <= skip:
                     continue
                 # rotation angle zeroing A[p,q]
-                theta = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
+                theta = (W[q][q] - W[p][p]) / (2.0 * apq)
                 if theta == 0:
                     t = 1.0
                 else:
                     t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
-                # numpy scalars reach the ufuncs faster than Python floats
-                c, s = np.float64(c), np.float64(t * c)
-                _rotate(rows[p], rows[q], c, s, *rbuf)
-                _rotate(cols[p], cols[q], c, s, *cbuf)
-    else:
-        if offnorm(A) > 1e-14 * norm:
-            raise RuntimeError("jacobi sweep cap reached without convergence")
-    w = A.diagonal().copy()
+                _rotate(W, p, q, c, t * c)
+    W = np.array(W)
+    w = W[:n].diagonal()
     order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return w[order], W[n:][:, order]
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -376,18 +362,28 @@ def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     return _lanczos(M)
 
 
+def _require_members(members, n: int) -> np.ndarray:
+    """members as an array; ValueError, before any gather, unless it names a
+    non-empty cluster as ClusteringSolution.members does: strictly
+    increasing 1-D integer (not bool) indices in 0..n-1."""
+    members = np.asarray(members)
+    if not (members.ndim == 1 and members.size and members.dtype.kind in "iu" and members[0] >= 0
+            and members[-1] < n and (members[1:] > members[:-1]).all()):
+        raise ValueError(f"members must name a non-empty cluster, strictly increasing integer "
+                         f"indices in 0..{n - 1}; got {members.dtype} of shape {members.shape}")
+    return members
+
+
 def scatter_matrix(data: Dataset, members: np.ndarray) -> np.ndarray:
     """Unnormalized scatter of one cluster, given by its member indices,
     about the member mean (the centroid of a hard cluster).
 
     Returns the plain sum of outer products of centered member points, with
     no division by the cluster size. Copies of one point have zero scatter:
-    their mean in floating point need not be that point.
+    their mean in floating point need not be that point. members must be
+    strictly increasing point indices, as ClusteringSolution.members gives.
     """
-    members = np.asarray(members)
-    if members.size == 0:
-        raise ValueError("empty cluster")
-    X = data.points[members]
+    X = data.points[_require_members(members, data.n)]
     if (X == X[0]).all():
         return np.zeros((X.shape[1], X.shape[1]))
     D = X - X.mean(axis=0)
@@ -398,11 +394,10 @@ def kernel_scatter_matrix(K: np.ndarray, cluster_members: np.ndarray) -> np.ndar
     """Doubly centered kernel block sharing its nonzero spectrum with the
     feature-space scatter of the cluster with these member indices.
 
-    A_kl = K_kl - rowmean_k - rowmean_l + blockmean over cluster members.
+    A_kl = K_kl - rowmean_k - rowmean_l + blockmean over cluster members,
+    given as in scatter_matrix.
     """
-    members = np.asarray(cluster_members)
-    if members.size == 0:
-        raise ValueError("empty cluster")
+    members = _require_members(cluster_members, len(K))
     return _center_kernel_block(K[np.ix_(members, members)])
 
 

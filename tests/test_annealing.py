@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -666,13 +667,17 @@ def test_anneal_is_bitwise_the_oracle():
 
 
 def test_fixed_point_continues_from_the_second_image_when_the_cycle_is_straight():
-    # with one centroid F is constant, so from its own image r = v = 0 and
-    # the steplength -|r|/|v| is undefined; the cycle must go on from Y2
+    # with one centroid F is constant, so from its own image r = v = 0, and
+    # on a straight cycle v = 0 alone: the steplength -|r|/|v| is undefined,
+    # and the cycle must go on from Y2. A positive tol returns F's constant
+    # image before a cycle, so the step is taken on its own
     ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)
     mu = da_fixed_point(ds, np.array([[9.0, -9.0]]), 1.0, max_iter=1, accept=np.inf)
-    Y = da_fixed_point(ds, mu, 1.0, tol=0.0, max_iter=3, accept=np.inf)
-    assert np.isfinite(Y).all()
-    assert np.array_equal(Y, mu)
+    line = np.array([[9.0, -9.0]])
+    for Y0, Y1, Y2 in ((mu, mu, mu), (line, line + 1.0, line + 2.0)):
+        with np.errstate(all="raise"):
+            Y = annealing._squarem_step(Y0, Y1, Y2)
+        assert np.array_equal(Y, Y2)
 
 
 def test_fixed_point_rejects_zero_iterations_before_any_work(monkeypatch):
@@ -681,6 +686,27 @@ def test_fixed_point_rejects_zero_iterations_before_any_work(monkeypatch):
     monkeypatch.setattr(annealing, "gibbs_associations", lambda *a: calls.append(a))
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         da_fixed_point(ds, np.zeros((2, 2)), 1.0, max_iter=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"tol": np.nan}, "tol must be positive and finite, got nan"),
+     ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+     ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+     ({"tol": np.inf}, "tol must be positive and finite, got inf"),
+     ({"accept": np.nan}, "accept must be None or at least 0, got nan"),
+     ({"accept": -1e-9}, "accept must be None or at least 0, got -1e-09")],
+    ids=["tol_nan", "tol_negative", "tol_zero", "tol_inf", "accept_nan", "accept_negative"],
+)
+def test_fixed_point_rejects_a_tolerance_before_any_work(monkeypatch, kwargs, match):
+    # a tol of NaN, -1 or 0 can never be met: it ran every evaluation and
+    # then raised with a residual, and accept=nan was taken silently
+    ds = blobs([(0, 0), (7, 0)], 0.5, 30, seed=4)
+    calls = []
+    monkeypatch.setattr(annealing, "gibbs_associations", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        da_fixed_point(ds, np.zeros((2, 2)), 1.0, max_iter=5, **kwargs)
     assert calls == []
 
 

@@ -1,4 +1,9 @@
+import hashlib
+import json
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from clusterpersist import (
 )
 import clusterpersist.linalg as linalg
 from clusterpersist.linalg import _JACOBI_MAX_ORDER, _norm, jacobi_eigh
-from helpers import DATA_DIR, allocation_peak, blobs, sym
+from helpers import DATA_DIR, allocation_peak, blobs, child_env, sym
 
 
 def test_identity_top_eigenvalue():
@@ -314,6 +319,45 @@ def test_jacobi_bitwise_on_special_inputs():
     assert_jacobi_matches_oracle(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
 
 
+def jacobi_digests(cases):
+    """sha256 of jacobi_eigh's values and vectors, one per matrix."""
+    return [hashlib.sha256(b"".join(got.tobytes() for got in jacobi_eigh(M))).hexdigest() for M in cases]
+
+
+_JACOBI_CHILD = """
+import json, sys
+import numpy as np
+from helpers import openblas_corename
+out = {"core": openblas_corename()}
+if out["core"] == sys.argv[1]:
+    from test_linalg import jacobi_digests
+    with np.load(sys.argv[2]) as cases:
+        out["digests"] = jacobi_digests(cases[name] for name in cases.files)
+print(json.dumps(out))
+"""
+
+
+def test_jacobi_keeps_its_bits_under_a_second_blas_kernel(tmp_path):
+    # the rotations are Python float operations, but the norms that decide
+    # the skips and the convergence are BLAS dot products. The matrices are
+    # made here, since a kernel's gemm rounds some oracle cases otherwise; a
+    # BLAS that cannot switch to Haswell skips
+    want = "Haswell"
+    cases = [M for n in range(1, 9) for M in oracle_cases(n)]
+    np.savez(tmp_path / "cases.npz", *cases)
+    res = subprocess.run(
+        [sys.executable, "-c", _JACOBI_CHILD, want, str(tmp_path / "cases.npz")],
+        capture_output=True,
+        text=True,
+        env=child_env(OPENBLAS_CORETYPE=want),
+    )
+    assert res.returncode == 0, res.stderr
+    child = json.loads(res.stdout.strip().splitlines()[-1])
+    if child["core"] != want:
+        pytest.skip(f"OpenBLAS did not switch to {want} kernels; its core is {child['core']}")
+    assert child["digests"] == jacobi_digests(cases)
+
+
 def test_jacobi_sweep_cap_raises():
     M = sym(np.random.default_rng(6), 6)
     for solver in (jacobi_eigh, oracle_jacobi_eigh):
@@ -531,6 +575,27 @@ def test_scatter_validation():
         scatter_matrix(ds, np.array([], dtype=int))
 
 
+@pytest.mark.parametrize(
+    "members, got",
+    [([-1, 0], "int64 of shape (2,)"),
+     ([0, 0, 1], "int64 of shape (3,)"),
+     ([1, 0], "int64 of shape (2,)"),
+     ([3, 12], "int64 of shape (2,)"),
+     ([1.5, 2.0], "float64 of shape (2,)"),
+     ([True] + [False] * 9, "bool of shape (10,)")],
+    ids=["negative", "repeated", "decreasing", "past_the_end", "float", "bool_mask"],
+)
+def test_scatter_builders_refuse_members_that_name_no_cluster(members, got):
+    # -1 took the last point and a repeat counted one point twice, while
+    # 12 and 1.5 raised numpy's IndexError from the gather
+    ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)))
+    K = gaussian_kernel(ds, 1.0)
+    want = "members must name a non-empty cluster, strictly increasing integer indices in 0..9; got "
+    for build in (lambda m: scatter_matrix(ds, m), lambda m: kernel_scatter_matrix(K, m)):
+        with pytest.raises(ValueError, match=f"^{re.escape(want + got)}$"):
+            build(np.array(members))
+
+
 def test_scatter_disk_eigenvalue():
     n, R = 3000, 1.0
     ds = gen_two_disks(R, 4.0, n, seed=4)
@@ -575,11 +640,10 @@ def test_kernel_scatter_is_bitwise_the_oracle():
     sizes = [1, 2, 3, 7, 8, 9, 64, tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1, 450, 451, 900]
     sizes += rng.integers(1, len(K), size=10).tolist()
     for size in sizes:
-        members = rng.choice(len(K), size=size, replace=False)
-        for m in (np.sort(members), members):
-            A = kernel_scatter_matrix(K, m)
-            assert A.tobytes() == oracle_kernel_scatter(K, m).tobytes()
-            assert np.array_equal(A, A.T)
+        m = np.sort(rng.choice(len(K), size=size, replace=False))
+        A = kernel_scatter_matrix(K, m)
+        assert A.tobytes() == oracle_kernel_scatter(K, m).tobytes()
+        assert np.array_equal(A, A.T)
     # the block is centered in a copy, never in K
     assert K.tobytes() == before.tobytes()
 
