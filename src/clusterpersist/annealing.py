@@ -26,15 +26,13 @@ raises ValueError before any work, by scalar and shape checks only.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import Dataset, _require_integer
+from .dataset import Dataset, _csv_text, _require_integer
 from .linalg import _norm, _sq_distances, largest_eigenvalue
 
 __all__ = [
@@ -61,12 +59,9 @@ class AnnealTrace:
 
     def to_csv(self) -> str:
         """Rows beta, k_distinct, free_energy, one per schedule step."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["beta", "k_distinct", "free_energy"])
-        for beta, kd, fe in self.schedule:
-            writer.writerow([repr(beta), kd, repr(fe)])
-        return buf.getvalue()
+        rows = [["beta", "k_distinct", "free_energy"]]
+        rows += [[repr(beta), kd, repr(fe)] for beta, kd, fe in self.schedule]
+        return _csv_text(rows)
 
 
 def _shifted_logits(data: Dataset, centroids: np.ndarray, beta: float):

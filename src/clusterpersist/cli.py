@@ -14,8 +14,6 @@ with repr and nothing time- or host-dependent is emitted. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -28,6 +26,7 @@ from . import __version__
 from .annealing import anneal, posterior_covariance
 from .dataset import (
     Dataset,
+    _csv_text,
     gen_gaussian_mixture,
     gen_rings,
     gen_spirals,
@@ -36,8 +35,8 @@ from .dataset import (
     load_csv,
     normalize_zscore,
 )
-from .linalg import _kernel_denominator, largest_eigenvalue
-from .persistence import persistence_profile
+from .linalg import largest_eigenvalue
+from .persistence import _check_sweep, persistence_profile
 
 
 def _gaussians4(gap: float, sd: float, n: int, seed: int) -> Dataset:
@@ -199,20 +198,12 @@ def _add_profile_args(p: argparse.ArgumentParser, format_help: str, output_help:
 
 def _profile(parser: argparse.ArgumentParser, args, to_stdout: bool):
     """Check the sweep flags, run the sweep and write its profile in --format
-    to --output; without --output, to stdout when to_stdout, else nowhere."""
-    if args.k_max < 2:
-        parser.error("--k-max must be at least 2")
-    if not 1 <= args.k_min <= args.k_max - 1:
-        parser.error("--k-min must lie in 1..k-max-1")
-    if args.restarts < 1:
-        parser.error("--restarts must be at least 1")
-    if args.mode == "kernel":
-        if args.sigma is None:
-            parser.error("--sigma is required with --mode kernel")
-        try:
-            _kernel_denominator(args.sigma)
-        except ValueError as e:
-            parser.error(f"--{e}")
+    to --output; without --output, to stdout when to_stdout, else nowhere.
+    A flag that breaks a sweep rule is a usage error that names the flag."""
+    try:
+        _check_sweep(args.k_max, args.k_min, args.mode, args.restarts, args.seed, args.sigma)
+    except ValueError as e:
+        parser.error("--" + str(e).replace("_", "-"))
     data = _load_dataset(args)
     _check_output(args.output)
     prof = persistence_profile(
@@ -257,14 +248,11 @@ def _cmd_profile(parser, args) -> int:
 
 def _cmd_gen(parser, args) -> int:
     data = _build_generated(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for i in range(data.n):
-        row = [repr(float(x)) for x in data.points[i]]
-        if data.labels is not None:
-            row.append(int(data.labels[i]))
-        writer.writerow(row)
-    _write_text(buf.getvalue(), args.output)
+    rows = [[repr(float(x)) for x in p] for p in data.points]
+    if data.labels is not None:
+        for row, label in zip(rows, data.labels):
+            row.append(int(label))
+    _write_text(_csv_text(rows), args.output)
     return 0
 
 

@@ -7,6 +7,7 @@ point and arm counts must be integers (numbers.Integral, not bool).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -35,8 +36,9 @@ _SPIRAL_TURNS = 1.5
 
 
 def _require_integer(name: str, value, minimum: float = -math.inf) -> None:
-    """ValueError unless value is an integer (numbers.Integral, not bool) of
-    at least minimum. Kept here, in the module every layer imports."""
+    """ValueError, naming name and any minimum, unless value is an integer
+    (numbers.Integral, not bool) of at least minimum. Kept here, in the
+    module every layer imports."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         floor = "" if minimum == -math.inf else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
@@ -59,7 +61,8 @@ class Dataset:
     computed once here for k-means, the annealing toolkit and the Gaussian
     kernel (points whose squared norms overflow raise ValueError); weights
     holds the uniform point masses p_i = 1/N that the annealing toolkit and
-    the k-means distortion read.
+    the k-means distortion read. Float labels that are not integers within
+    int64's range raise ValueError rather than being truncated.
     """
 
     points: np.ndarray
@@ -77,6 +80,10 @@ class Dataset:
         w = np.full(n, 1.0 / n)
         lab = self.labels
         if lab is not None:
+            lab = np.asarray(lab)
+            # a NaN fails the bound, which also keeps the cast below exact
+            if lab.dtype.kind == "f" and not ((abs(lab) < 2.0**63) & (lab == np.round(lab))).all():
+                raise ValueError("labels must be finite and integer-valued, within int64")
             lab = np.array(lab, dtype=int)
             if lab.shape != (n,):
                 raise ValueError("labels length does not match points")
@@ -154,12 +161,17 @@ def load_csv(path, has_header: bool = False, label_column: Optional[int] = None)
     if label_column is not None:
         if not 0 <= label_column < width:
             raise ValueError(f"label column {label_column} out of range for width {width}")
-        lab = values[:, label_column]
-        if not np.all(lab == np.round(lab)):
-            raise ValueError("label column must be integer-valued")
-        labels = lab.astype(int)
+        labels = values[:, label_column]
         values = np.delete(values, label_column, axis=1)
     return Dataset(values, labels=labels)
+
+
+def _csv_text(rows) -> str:
+    """rows, each a sequence of cells, as CSV text, one line per row ended
+    by a bare newline: the one writer of the package's CSV output."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _sample_gaussian(rng, mean, cov, count):

@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dataset import Dataset, _require_integer
+from .dataset import Dataset
 
 __all__ = [
     "largest_eigenvalue",
@@ -56,6 +56,7 @@ __all__ = [
 # 0.293, _lanczos 0.062 0.086 0.108 0.132 0.163. Lanczos is faster from
 # order 5, but another split would change the bits of the blocks it moves.
 _JACOBI_MAX_ORDER = 5
+_JACOBI_MAX_SWEEPS = 50  # sweeps after which jacobi_eigh gives up
 _LANCZOS_RTOL = 1e-10   # Ritz residual, relative to ||M||_inf, that ends a block
 _CERTIFIED_RTOL = 1e-8  # explicit residual bound, relative to max(1, ||M||_inf)
 _EPS = float(np.finfo(float).eps)
@@ -168,15 +169,15 @@ def _rotate(W: list, p: int, q: int, c: float, s: float) -> None:
         row[p], row[q] = c * a - s * b, s * a + c * b
 
 
-def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Returns (eigenvalues ascending, eigenvectors as columns). Intended for
-    small orders; cost grows cubically per sweep. A nearly symmetric M is
-    solved as its upper triangle mirrored. max_sweeps must be an integer
-    >= 0.
+    small orders; cost grows cubically per sweep. M is checked as
+    largest_eigenvalue describes, and a nearly symmetric M is solved as its
+    upper triangle mirrored. A matrix not diagonal to 1e-14 relative after
+    _JACOBI_MAX_SWEEPS (50) sweeps raises RuntimeError.
     """
-    _require_integer("max_sweeps", max_sweeps, 0)
     M = _require_symmetric(M)
     n = M.shape[0]
     if n == 1:
@@ -195,10 +196,10 @@ def jacobi_eigh(M: np.ndarray, max_sweeps: int = 50) -> Tuple[np.ndarray, np.nda
         np.fill_diagonal(O, 0.0)
         return _norm(O)
 
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         if offnorm() <= 1e-14 * norm:
             break
-        if sweep == max_sweeps:
+        if sweep == _JACOBI_MAX_SWEEPS:
             raise RuntimeError("jacobi sweep cap reached without convergence")
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -351,15 +352,15 @@ def largest_eigenvalue(M: np.ndarray) -> Tuple[float, np.ndarray]:
     RuntimeError with its residual. A matrix that is not square, not finite,
     not symmetric or empty raises ValueError first; one within the symmetry
     tolerance but not exactly symmetric is solved as its upper triangle
-    mirrored.
+    mirrored. jacobi_eigh does the one check of the orders it solves.
     """
-    M = _require_symmetric(M)
-    if len(M) == 0:
+    M = np.asarray(M, dtype=float)
+    if M.shape == (0, 0):
         raise ValueError("matrix must not be empty")
-    if M.shape[0] <= _JACOBI_MAX_ORDER:
+    if M.ndim == 2 and len(M) <= _JACOBI_MAX_ORDER:
         w, V = jacobi_eigh(M)
         return float(w[-1]), V[:, -1]
-    return _lanczos(M)
+    return _lanczos(_require_symmetric(M))
 
 
 def _require_members(members, n: int) -> np.ndarray:

@@ -11,8 +11,6 @@ clusters is the argmax of v, ties going to the smaller k.
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -21,7 +19,7 @@ from typing import Dict, NamedTuple, Optional
 import numpy as np
 
 from .clustering import ClusteringSolution, kmeans, spectral_basis, spectral_cluster
-from .dataset import Dataset, _require_integer
+from .dataset import Dataset, _csv_text, _require_integer
 from .linalg import _TILE, _center_kernel_block, _kernel_denominator
 from .linalg import gaussian_kernel, kernel_scatter_matrix, largest_eigenvalue, scatter_matrix
 
@@ -198,14 +196,12 @@ class PersistenceProfile:
 
     def to_csv(self) -> str:
         """Rows k, beta_bar, log_beta_bar, v (v blank on the first row)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "beta_bar", "log_beta_bar", "v"])
+        rows = [["k", "beta_bar", "log_beta_bar", "v"]]
         for k in sorted(self.beta_bar):
             b = self.beta_bar[k]
             vk = self.v.get(k)
-            writer.writerow([k, repr(b), repr(math.log(b)), "" if vk is None else repr(vk)])
-        return buf.getvalue()
+            rows.append([k, repr(b), repr(math.log(b)), "" if vk is None else repr(vk)])
+        return _csv_text(rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,6 +221,27 @@ def _failing_at(k: int):
         yield
     except (ValueError, RuntimeError) as e:
         raise type(e)(f"k={k}: {e}") from e
+
+
+def _check_sweep(k_max, k_min, mode, restarts, seed, sigma) -> None:
+    """ValueError for the first of persistence_profile's rules that need no
+    data that its arguments break; each message but mode's begins with the
+    parameter's name."""
+    for name, value in (("k_max", k_max), ("k_min", k_min), ("restarts", restarts)):
+        _require_integer(name, value)
+    _require_integer("seed", seed, 0)
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    if not 1 <= k_min <= k_max - 1:
+        raise ValueError("k_min must lie in 1..k_max-1")
+    if mode not in ("linear", "kernel"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if mode == "kernel":
+        if sigma is None:
+            raise ValueError("sigma is required in kernel mode; pass a positive sigma")
+        _kernel_denominator(sigma)
 
 
 def persistence_profile(
@@ -257,38 +274,20 @@ def persistence_profile(
     made.
     The output is the same as clustering and solving every k, and every
     block, from scratch, in ascending k.
-    Kernel mode raises ValueError before building the N x N matrices when
-    sigma is None, not positive or has 2 sigma^2 not positive and finite,
-    or when they would not fit in physical memory.
 
     The points are unweighted (p_i = 1/N), as in the paper's scatters.
-    A k_max, k_min or restarts that is not an integer (numbers.Integral,
-    not bool), a seed that is not a non-negative integer, restarts < 1 and
-    the other bad arguments raise ValueError before any clustering or
-    kernel work starts.
+    Bad arguments raise ValueError before any clustering or kernel work
+    starts: first those that break a rule of _check_sweep, then a k_max
+    above N - 1, then, in kernel mode, N x N matrices that would not fit in
+    physical memory.
     """
-    integers = (("k_max", k_max), ("k_min", k_min), ("restarts", restarts), ("seed", seed))
-    for name, value in integers:
-        _require_integer(name, value)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
+    _check_sweep(k_max, k_min, mode, restarts, seed, sigma)
     if k_max > data.n - 1:
         raise ValueError("k_max must be at most N-1")
-    if not 1 <= k_min <= k_max - 1:
-        raise ValueError("k_min must lie in 1..k_max-1")
-    if mode not in ("linear", "kernel"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     # the clusterer and what it clusters, the critical beta and the source
     # of its blocks, and the k whose block is solved after every other
     cluster, points, solve, blocks, last = kmeans, data, critical_beta, data, None
     if mode == "kernel":
-        if sigma is None:
-            raise ValueError("kernel mode requires a positive sigma")
-        _kernel_denominator(sigma)
         _check_kernel_memory(data.n)
         K = gaussian_kernel(data, sigma)
         basis = spectral_basis(K, k_max)

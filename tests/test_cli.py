@@ -105,6 +105,26 @@ def test_bad_sweep_arguments_are_usage_errors(extra, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        (["--k-max", "1"], "--k-max must be at least 2"),
+        (["--k-min", "0"], "--k-min must lie in 1..k-max-1"),
+        (["--k-min", "4"], "--k-min must lie in 1..k-max-1"),
+        (["--restarts", "0"], "--restarts must be at least 1"),
+        (["--mode", "kernel"], "--sigma is required in kernel mode; pass a positive sigma"),
+        (["--mode", "kernel", "--sigma", "nan"],
+         "--sigma must be positive with 2 sigma^2 finite and nonzero, got nan"),
+    ],
+)
+def test_sweep_rule_usage_texts(extra, text, capsys):
+    # the sweep's own rules, each worded once, for the flag that broke it
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--gen", "rings", "--n", "20", "--k-max", "4"] + extra)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"clusterpersist profile: error: {text}"
+
+
 def test_missing_source_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--k-max", "4"])

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -51,6 +52,14 @@ def test_dataset_rejects_points_whose_squared_norms_overflow(scale):
 def test_dataset_label_length_validation():
     with pytest.raises(ValueError, match="labels length"):
         Dataset(np.zeros((3, 1)), labels=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, math.nan], [math.inf, 1.0],
+                                    [1e300, 2.0**63]])
+def test_dataset_refuses_labels_that_are_not_integers(labels):
+    # [0.5, 1.7] was truncated to [0, 1], and the others cast to -2**63
+    with pytest.raises(ValueError, match="^labels must be finite and integer-valued, within int64$"):
+        Dataset(np.zeros((2, 1)), labels=labels)
 
 
 def test_dataset_defaults_uniform_weights():
@@ -175,8 +184,13 @@ def test_load_csv_label_column_validation(tmp_path):
         load_csv(p, label_column=5)
     q = tmp_path / "u.csv"
     q.write_text("1,0.5\n2,0.7\n")
-    with pytest.raises(ValueError, match="label column must be integer-valued"):
+    with pytest.raises(ValueError, match="labels must be finite and integer-valued"):
         load_csv(q, label_column=1)
+    # a NaN or an infinite label was cast to an arbitrary integer
+    for cell in ("nan", "inf"):
+        q.write_text(f"1,0\n2,{cell}\n")
+        with pytest.raises(ValueError, match="labels must be finite and integer-valued"):
+            load_csv(q, label_column=1)
 
 
 def test_packaged_fixtures_load():

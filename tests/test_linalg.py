@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -358,25 +359,19 @@ def test_jacobi_keeps_its_bits_under_a_second_blas_kernel(tmp_path):
     assert child["digests"] == jacobi_digests(cases)
 
 
-def test_jacobi_sweep_cap_raises():
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    # the cap is a module constant, not a parameter
+    assert list(inspect.signature(jacobi_eigh).parameters) == ["M"]
     M = sym(np.random.default_rng(6), 6)
-    for solver in (jacobi_eigh, oracle_jacobi_eigh):
-        with pytest.raises(RuntimeError, match="jacobi sweep cap reached"):
-            solver(M, max_sweeps=1)
-
-
-@pytest.mark.parametrize("max_sweeps", [2.5, True, -1])
-def test_jacobi_sweep_cap_must_be_a_non_negative_integer(max_sweeps):
-    # 2.5 raised TypeError from range, and -1 ran no sweep, then reported
-    # the cap as reached
-    M = sym(np.random.default_rng(6), 6)
-    with pytest.raises(ValueError, match=f"^max_sweeps must be an integer >= 0, got {max_sweeps!r}$"):
-        jacobi_eigh(M, max_sweeps=max_sweeps)
-    # no sweep at all returns a matrix that is already diagonal
-    w, V = jacobi_eigh(np.diag([3.0, 1.0, 2.0]), max_sweeps=0)
-    assert w.tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(RuntimeError, match="jacobi sweep cap reached"):
-        jacobi_eigh(M, max_sweeps=0)
+        oracle_jacobi_eigh(M, max_sweeps=1)
+    for cap in (1, 0):
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", cap)
+        with pytest.raises(RuntimeError, match="jacobi sweep cap reached"):
+            jacobi_eigh(M)
+    # no sweep at all returns a matrix that is already diagonal
+    w, V = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
+    assert w.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_jacobi_bitwise_on_near_symmetric_matrices():
@@ -497,6 +492,26 @@ def test_dispatch_size_boundary(monkeypatch):
         lam, _ = largest_eigenvalue(M)
         assert calls == [(solver, n)]
         assert lam == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-8, abs=1e-8)
+
+
+def test_each_solve_checks_its_matrix_once(monkeypatch):
+    # Jacobi's own check is the only one on the orders it solves, and
+    # largest_eigenvalue still reaches it through the module name
+    checks = []
+
+    def check(M, _check=linalg._require_symmetric):
+        checks.append(np.shape(M))
+        return _check(M)
+
+    monkeypatch.setattr(linalg, "_require_symmetric", check)
+    calls = spy_solvers(monkeypatch)
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        checks.clear()
+        calls.clear()
+        largest_eigenvalue(sym(rng, n))
+        assert checks == [(n, n)]
+        assert calls == [("jacobi_eigh" if n <= _JACOBI_MAX_ORDER else "_lanczos", n)]
 
 
 def zscored_table(name, label_column):

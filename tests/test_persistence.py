@@ -187,12 +187,35 @@ def test_k_min_window_matches_full_profile():
     assert win.k_t == min(k for k, val in win.v.items() if val == best)
 
 
+@pytest.mark.parametrize("shape, mode", [("rings", "linear"), ("rings", "kernel"),
+                                         ("spirals", "linear"), ("spirals", "kernel")])
+def test_a_sweep_is_a_prefix_of_a_longer_one(shape, mode):
+    # each k draws its own child seed and, in kernel mode, the first k
+    # columns of the basis, so raising k_max redoes no k below it
+    if shape == "rings":
+        ds = normalize_zscore(gen_rings([1.0, 2.0, 3.0], 60, 0.01, seed=0))
+    else:
+        ds = normalize_zscore(gen_spirals(3, 60, 0.02, seed=0))
+    sigma = 0.1 if mode == "kernel" else None
+    long, short = (persistence_profile(ds, k_max=k_max, mode=mode, sigma=sigma, restarts=3, seed=1)
+                   for k_max in (12, 6))
+    for k in short.beta_bar:
+        assert long.beta_bar[k] == short.beta_bar[k]
+        assert long.critical_cluster[k] == short.critical_cluster[k]
+        assert np.array_equal(long.per_k_solutions[k].assignment,
+                              short.per_k_solutions[k].assignment)
+    assert all(long.v[k] == short.v[k] for k in short.v)
+
+
 def test_profile_validation():
     ds = Dataset(np.arange(5.0)[:, None])
     with pytest.raises(ValueError, match="k_max must be at least 2"):
         persistence_profile(ds, k_max=1)
     with pytest.raises(ValueError, match="at most N-1"):
         persistence_profile(ds, k_max=5)
+    # a rule that needs no data is reported before the bound that does
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        persistence_profile(ds, k_max=5, restarts=0)
     with pytest.raises(ValueError, match="k_min"):
         persistence_profile(ds, k_max=3, k_min=3)
     with pytest.raises(ValueError, match="unknown mode"):
@@ -762,7 +785,7 @@ def test_bad_sweep_arguments_fail_before_any_work(monkeypatch):
         (dict(k_min=1.5), "k_min must be an integer"),
         (dict(restarts=2.5), "restarts must be an integer"),
         (dict(restarts=True), "restarts must be an integer"),
-        (dict(seed=-1), "seed must be non-negative"),
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
         (dict(seed=1.0), "seed must be an integer"),
     ],
 )
